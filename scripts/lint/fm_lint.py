@@ -413,9 +413,14 @@ CPP_KEYWORDS = {
 }
 
 # The function name is the identifier owning the first '(' of a signature
-# statement, with any Class:: qualifier chain captured alongside it.
+# statement, with any Class:: qualifier chain captured alongside it. A
+# qualifier may carry template arguments (`Engine<Wire>::send`, an
+# out-of-class member of a class template); they are dropped from the
+# qualified name, so the definition and its in-class declaration agree.
 SIG_NAME_RE = re.compile(
-    r"((?:[A-Za-z_][A-Za-z0-9_]*::)*)(~?[A-Za-z_][A-Za-z0-9_]*)\s*\(")
+    r"((?:[A-Za-z_][A-Za-z0-9_]*(?:<[^<>;{}()]*>)?::)*)"
+    r"(~?[A-Za-z_][A-Za-z0-9_]*)\s*\(")
+TEMPLATE_ARGS_RE = re.compile(r"<[^<>]*>")
 CLASS_RE = re.compile(r"\b(?:class|struct)\s+(?:FM_CAPABILITY\S*\s+)?"
                       r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:final\s*)?(?::|$)")
 CALL_RE = re.compile(r"(?<![A-Za-z0-9_:.>])([a-z_][A-Za-z0-9_]*)\s*\(")
@@ -459,7 +464,8 @@ def scan_functions(sf: SourceFile) -> list[FuncInfo]:
         qual_prefix = sm.group(1).rstrip(":")
         name = sm.group(2)
         if qual_prefix:
-            qual = f"{qual_prefix.split('::')[-1]}::{name}"
+            owner = TEMPLATE_ARGS_RE.sub("", qual_prefix).split("::")[-1]
+            qual = f"{owner}::{name}"
         elif class_stack:
             qual = f"{class_stack[-1][0]}::{name}"
         else:

@@ -52,6 +52,15 @@ def main() -> int:
     expect("hotpath-call" in out and "untracked_helper" in out,
            "flags unmarked callee", out, failures)
 
+    print("fixture: hotpath_template_bad.h")
+    rc, out = run_lint(os.path.join(FIXTURES, "hotpath_template_bad.h"))
+    expect(rc != 0, "exits nonzero", out, failures)
+    expect("Pump::pump" in out and "push_back" in out.replace(" ", ""),
+           "checks an out-of-class template member under its in-class "
+           "marker", out, failures)
+    expect("hotpath-call" in out and "untracked_step" in out,
+           "flags the template member's unmarked callee", out, failures)
+
     print("fixture: hotpath_clean.cc")
     rc, out = run_lint(os.path.join(FIXTURES, "hotpath_clean.cc"))
     expect(rc == 0, "clean hot path passes (allow comment honored, cold "

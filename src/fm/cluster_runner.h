@@ -17,7 +17,6 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -132,7 +131,7 @@ concept ClusterBackend = requires(
 template <class C>
 void barrier_serviced(C& c, typename C::EndpointType& ep) {
   c.barrier([&ep] {
-    if (ep.extract() == 0) std::this_thread::yield();
+    if (ep.extract() == 0) ep.idle_pause();
     ep.drain();
   });
 }

@@ -474,6 +474,10 @@ class AckTracker {
     due_[src].push_back(seq);
   }
 
+  /// Preallocates room for `n` acks owed to `src`, so noting up to that
+  /// many never allocates.
+  void reserve(NodeId src, std::size_t n) { due_[src].reserve(n); }
+
   /// Acks currently owed to `src`.
   std::size_t due(NodeId src) const {
     auto it = due_.find(src);

@@ -21,12 +21,12 @@
 // Comm per node (thread or process), wrapping that node's endpoint.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <deque>
 #include <functional>
 #include <map>
-#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -82,17 +82,17 @@ class BasicComm {
   /// Receives a message matching (src, tag) — src may be kAnySource —
   /// blocking. Returns the actual source; payload lands in `out`.
   int recv(int src, int tag, std::vector<std::uint8_t>& out) {
-    for (;;) {
-      for (auto it = inbox_.begin(); it != inbox_.end(); ++it) {
-        if ((src == kAnySource || it->src == src) && it->tag == tag) {
-          out = std::move(it->data);
-          int from = it->src;
-          inbox_.erase(it);
-          return from;
-        }
-      }
-      if (ep_.extract() == 0) std::this_thread::yield();
-    }
+    auto it = inbox_.end();
+    ep_.extract_until([&] {
+      it = std::find_if(inbox_.begin(), inbox_.end(), [&](const Msg& m) {
+        return (src == kAnySource || m.src == src) && m.tag == tag;
+      });
+      return it != inbox_.end();
+    });
+    out = std::move(it->data);
+    const int from = it->src;
+    inbox_.erase(it);
+    return from;
   }
 
   /// Non-blocking match check.

@@ -3,41 +3,33 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <string>
 
 #include "net/cluster.h"
+
+namespace fm {
+template class Engine<net::Endpoint>;
+}  // namespace fm
 
 namespace fm::net {
 
 Endpoint::Endpoint(Cluster& cluster, NodeId id, const FmConfig& cfg,
                    const hw::FaultParams& faults, UdpSocket& sock,
                    const NetConfig& net, std::size_t nodes)
-    : cluster_(cluster),
-      id_(id),
-      cfg_(cfg),
+    : Engine(id, nodes, cfg, faults, "net.node" + std::to_string(id)),
+      cluster_(cluster),
       sock_(sock),
       extract_budget_(net.extract_budget),
-      window_(cfg.pending_window, max_wire_bytes(cfg.frame_payload)),
-      reasm_(cfg.reassembly_slots),
-      timer_(cfg.retransmit_timeout_ns, cfg.max_retries),
-      trace_("net.node" + std::to_string(id)),
       registry_("net.node" + std::to_string(id)) {
   // UDP loses, duplicates, and reorders datagrams as a matter of course;
   // running the FM surface without FM-R here would silently violate the
   // API's delivery semantics, so the backend refuses the configuration
-  // outright instead of degrading.
+  // outright instead of degrading. (The engine already refused FM-R
+  // without flow control.)
   FM_CHECK_MSG(cfg.reliability,
                "the net backend requires FM-R (cfg.reliability): UDP is a "
                "genuinely lossy substrate");
-  FM_CHECK_MSG(cfg.flow_control,
-               "FM-R requires flow control: the send window holds the frame "
-               "copies retransmission needs");
   rx_buf_.resize(max_wire_bytes(cfg.frame_payload));
-  for (auto& buf : tx_scratch_) buf.resize(max_wire_bytes(cfg.frame_payload));
-  retx_scratch_.reserve(max_wire_bytes(cfg.frame_payload));
-  dup_ack_due_.assign(nodes, 0);
-  last_heard_ns_.resize(nodes, 0);
-  alive_grace_ns_ = RetransmitTimer::detection_horizon_ns(
-      cfg.retransmit_timeout_ns, cfg.max_retries);
   // FM-Burst mode resolution. The test hooks are installed first so the
   // GSO capability probe below sees a forced-unsupported socket.
   sock_.set_debug_wouldblock_every(net.debug_wouldblock_every);
@@ -76,7 +68,7 @@ Endpoint::Endpoint(Cluster& cluster, NodeId id, const FmConfig& cfg,
   // the constructing context owns both the registry and the trace ring.
   registry_.assert_owner();
   trace_.assert_writer();
-  stats_.register_into(registry_);
+  register_metrics(registry_);
   // The socket layer beneath the protocol counters: what the "NIC" did.
   registry_.counter("datagrams_tx", &datagrams_tx_);
   registry_.counter("datagrams_rx", &datagrams_rx_);
@@ -91,44 +83,10 @@ Endpoint::Endpoint(Cluster& cluster, NodeId id, const FmConfig& cfg,
   registry_.counter("gso_segments", &gso_segments_);
   registry_.counter("busy_poll_hits", &busy_poll_hits_);
   registry_.counter("gso_fallbacks", &gso_fallbacks_);
-  registry_.gauge("q.reject_depth",
-                  [this] { return static_cast<double>(rejq_.size()); });
-  registry_.gauge("q.posted_depth", [this] {
-    return static_cast<double>(posted_.size() - posted_head_);
-  });
-  registry_.gauge("window.in_flight",
-                  [this] { return static_cast<double>(window_.in_flight()); });
-  registry_.gauge("reasm.active",
-                  [this] { return static_cast<double>(reasm_.active()); });
-  registry_.gauge("acks.due",
-                  [this] { return static_cast<double>(acks_.total_due()); });
-  registry_.gauge("timers.armed",
-                  [this] { return static_cast<double>(timer_.armed()); });
-  registry_.gauge("credits.available", [this] {
-    double n = 0;
-    for (const auto& [peer, c] : credits_) n += static_cast<double>(c);
-    return n;
-  });
-  cat_send_ = trace_.intern("send");
-  cat_extract_ = trace_.intern("extract");
-  cat_deliver_ = trace_.intern("deliver");
-  cat_retransmit_ = trace_.intern("retransmit");
-  cat_reject_ = trace_.intern("reject");
-  cat_crc_drop_ = trace_.intern("crc_drop");
-  cat_dup_ = trace_.intern("dup");
-  cat_dead_peer_ = trace_.intern("dead_peer");
-  cat_depth_ = trace_.intern("window_rejq_depth");
   cat_stall_ = trace_.intern("tx_stall");
-  if (faults.enabled())
-    // On top of whatever the kernel loses, tests can still inject
-    // deterministic sender-side faults — same model as the other backends,
-    // same decorrelated per-node seeding.
-    faults_ = std::make_unique<hw::FaultInjector>(decorrelate_faults(faults, id));
 }
 
-std::size_t Endpoint::cluster_size() const { return cluster_.size(); }
-
-void Endpoint::idle_pause() {
+void Endpoint::wire_idle() {
   // Never park with frames staged: the peer we are waiting on may be
   // waiting on exactly those bytes.
   if (tx_batch_on_ && tx_staged_ > 0) flush_tx_batch();
@@ -138,24 +96,25 @@ void Endpoint::idle_pause() {
   // t0 on an idle socket.
   if (busy_poll_spin_us_ > 0) {
     const std::uint64_t deadline =
-        now_ns() + static_cast<std::uint64_t>(busy_poll_spin_us_) * 1000ull;
+        wire_clock_ns() +
+        static_cast<std::uint64_t>(busy_poll_spin_us_) * 1000ull;
     do {
       if (sock_.readable_now()) {
         ++busy_poll_hits_;
         return;
       }
-    } while (now_ns() < deadline);
+    } while (wire_clock_ns() < deadline);
   }
   // The poll loop that drives this backend: park on the socket instead of
   // spinning, but never longer than a fraction of the retransmit timeout —
   // the FM-R timers only tick inside extract(), so sleeping past a
   // deadline would stretch every recovery.
   const int timeout_ms = std::max(
-      1, static_cast<int>(cfg_.retransmit_timeout_ns / 4'000'000ull));
+      1, static_cast<int>(config().retransmit_timeout_ns / 4'000'000ull));
   (void)sock_.wait_readable(std::min(timeout_ms, 10));
 }
 
-std::uint64_t Endpoint::now_ns() {
+std::uint64_t Endpoint::wire_clock_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
@@ -166,153 +125,8 @@ std::uint64_t Endpoint::now_ns() {
 // Send path
 // ---------------------------------------------------------------------------
 
-Status Endpoint::send4(NodeId dest, HandlerId handler, std::uint32_t w0,
-                       std::uint32_t w1, std::uint32_t w2, std::uint32_t w3) {
-  std::uint32_t words[4] = {w0, w1, w2, w3};
-  return send(dest, handler, words, sizeof words);
-}
-
-Status Endpoint::send(NodeId dest, HandlerId handler, const void* buf,
-                      std::size_t len) {
-  FM_CHECK_MSG(!in_handler_,
-               "send() from handler context; use post_send() instead");
-  if (dest >= cluster_.size()) return Status::kBadArgument;
-  if (!handlers_.valid(handler) || (len > 0 && buf == nullptr))
-    return Status::kBadArgument;
-  if (dead_peers_.count(dest) > 0) return Status::kPeerDead;
-  ++stats_.messages_sent;
-  const auto* bytes = static_cast<const std::uint8_t*>(buf);
-  if (len <= cfg_.frame_payload) {
-    Status s = send_data_frame(dest, handler, bytes, len, false, 0, 0, 1);
-    if (s == Status::kPeerDead) ++stats_.messages_abandoned;
-    return s;
-  }
-  const std::size_t per = cfg_.frame_payload;
-  const std::size_t frags = (len + per - 1) / per;
-  if (frags > 0xffff) return Status::kTooLarge;
-  const std::uint32_t msg_id = next_msg_id_++;
-  for (std::size_t i = 0; i < frags; ++i) {
-    const std::size_t off = i * per;
-    const std::size_t n = std::min(per, len - off);
-    Status s = send_data_frame(dest, handler, bytes + off, n, true, msg_id,
-                               static_cast<std::uint16_t>(i),
-                               static_cast<std::uint16_t>(frags));
-    if (!ok(s)) {
-      if (s == Status::kPeerDead) ++stats_.messages_abandoned;
-      return s;
-    }
-  }
-  return Status::kOk;
-}
-
-Status Endpoint::send_data_frame(NodeId dest, HandlerId handler,
-                                 const std::uint8_t* payload, std::size_t len,
-                                 bool fragmented, std::uint32_t msg_id,
-                                 std::uint16_t frag_index,
-                                 std::uint16_t frag_count) {
-  // Window gate — and, in window mode, a per-destination credit gate —
-  // servicing the network while blocked (the FM discipline).
-  trace_.assert_writer();
-  auto blocked = [&] {
-    if (window_.full()) return true;
-    if (cfg_.window_mode) {
-      auto it = credits_.find(dest);
-      if (it == credits_.end()) {
-        // fm-lint: allow(hotpath-alloc): first contact with a peer seeds its
-        // credit entry once; every later send hits the map in place.
-        credits_[dest] = cfg_.window_per_peer;
-        return false;
-      }
-      return it->second == 0;
-    }
-    return false;
-  };
-  while (blocked()) {
-    if (dead_peers_.count(dest) > 0) return Status::kPeerDead;
-    // Flag the spin so the reject-queue tick inside extract() leaves one
-    // window slot for this frame (bounce-release + retry-re-track inside a
-    // single extract() call would otherwise starve the blocked sender).
-    const bool outer_spin = send_blocked_spin_;  // nested sends restore it
-    send_blocked_spin_ = true;
-    const std::size_t n = extract();
-    send_blocked_spin_ = outer_spin;
-    if (n == 0) idle_pause();
-  }
-  if (dead_peers_.count(dest) > 0) return Status::kPeerDead;
-  if (cfg_.window_mode) {
-    FM_CHECK(credits_[dest] > 0);
-    --credits_[dest];
-  }
-  FrameHeader h;
-  h.type = FrameType::kData;
-  h.handler = handler;
-  h.src = id_;
-  h.payload_len = static_cast<std::uint16_t>(len);
-  if (cfg_.crc_frames) h.flags |= FrameHeader::kFlagCrc;
-  if (fragmented) {
-    h.flags |= FrameHeader::kFlagFragmented;
-    h.msg_id = msg_id;
-    h.frag_index = frag_index;
-    h.frag_count = frag_count;
-  }
-  h.seq = window_.next_seq(dest);
-  std::uint32_t piggy[kMaxAcksPerFrame];
-  const std::size_t n_acks = acks_.take_into(
-      dest, std::min(cfg_.piggyback_acks, kMaxAcksPerFrame), piggy);
-  h.ack_count = static_cast<std::uint8_t>(n_acks);
-  stats_.acks_piggybacked += n_acks;
-  // The window slab slot doubles as the datagram staging buffer and the
-  // retained retransmission copy: serialized exactly once, in place, and
-  // handed to sendto() straight from the slot (PR 2's PIO-gather aimed at
-  // the socket instead of the ring).
-  // fm-lint: allow(hotpath-alloc): SendWindow::reserve shares a name with
-  // vector::reserve, not its behaviour — it hands back a preallocated slab
-  // slot.
-  std::uint8_t* slot = window_.reserve(dest, h.seq);
-  const std::size_t wire =
-      encode_frame_into(slot, h, payload, n_acks ? piggy : nullptr);
-  window_.commit(wire);
-  timer_.arm(dest, h.seq, now_ns());
-  ++stats_.frames_sent;
-  if (trace_.enabled()) trace_.event(now_ns(), cat_send_, 'i', dest, h.seq);
-  inject(dest, slot, wire, h.seq);
-  return Status::kOk;
-}
-
-void Endpoint::inject(NodeId dest, const std::uint8_t* frame, std::size_t len,
-                      std::uint32_t window_seq) {
-  if (faults_) {
-    inject_faulty(dest, frame, len);
-    return;
-  }
-  push(dest, frame, len, window_seq);
-}
-
-void Endpoint::inject_faulty(NodeId dest, const std::uint8_t* frame,
-                             std::size_t len) {
-  // Injected faults layered on top of the kernel's organic ones (the fault
-  // paths copy the frame into stable local storage before any push, so
-  // slab-slot recycling cannot bite them: window_seq is not forwarded).
-  if (faults_->should_drop()) return;
-  std::vector<std::uint8_t> bytes(frame, frame + len);
-  faults_->maybe_corrupt(bytes);
-  const bool dup = faults_->should_duplicate();
-  std::vector<std::uint8_t> release;
-  auto held = reorder_held_.find(dest);
-  if (held != reorder_held_.end()) {
-    release = std::move(held->second);
-    reorder_held_.erase(held);
-  } else if (faults_->should_reorder()) {
-    reorder_held_[dest] = std::move(bytes);
-    return;
-  }
-  push(dest, bytes.data(), bytes.size());
-  if (dup) push(dest, bytes.data(), bytes.size());
-  if (!release.empty()) push(dest, release.data(), release.size());
-}
-
-void Endpoint::push(NodeId dest, const std::uint8_t* frame, std::size_t len,
-                    std::uint32_t window_seq) {
+WireStatus Endpoint::wire_push(NodeId dest, const std::uint8_t* frame,
+                               std::size_t len) {
   trace_.assert_writer();
   // Latency bypass inside batched mode: with the staging ring empty and no
   // other frame in flight (in_flight counts this one — it is already in
@@ -322,23 +136,18 @@ void Endpoint::push(NodeId dest, const std::uint8_t* frame, std::size_t len,
   // ack, a solo retransmission) takes the single-shot path below instead.
   // The first frame of a pipelined stream escapes the batch the same way;
   // every subsequent one sees in_flight > 1 and stages.
-  if (tx_batch_on_ && (tx_staged_ > 0 || window_.in_flight() > 1)) {
+  if (tx_batch_on_ && (tx_staged_ > 0 || unacked() > 1)) {
     // Batched mode: stage a copy and let the next flush point carry it out
     // with the rest of the burst (extract() entry/exit, a full ring, or
-    // idle_pause — a frame is never parked on across a poll()).
-    while (tx_staged_ == tx_cap_) {
+    // idle — a frame is never parked on across a poll()).
+    if (tx_staged_ == tx_cap_) {
       flush_tx_batch();
-      if (tx_staged_ < tx_cap_) break;
-      // Ring still full: the kernel would not take the burst. Service our
-      // own receive side while waiting, as a blocked FM sender must.
-      if (trace_.enabled())
-        trace_.event(now_ns(), cat_stall_, 'i', dest, window_seq);
-      if (extract() == 0) idle_pause();
-      // The nested extract can invalidate a slab-backed frame (ack or
-      // dead-peer purge recycles the slot); re-validate before copying it.
-      if (window_seq != 0 && window_.find(dest, window_seq).data != frame)
-        return;
-      if (dead_peers_.count(dest) > 0) return;
+      if (tx_staged_ == tx_cap_) {
+        // Ring still full: the kernel would not take the burst.
+        if (trace_.enabled())
+          trace_.event(wire_clock_ns(), cat_stall_, 'i', dest, 0);
+        return WireStatus::kFull;
+      }
     }
     const std::size_t idx = (tx_head_ + tx_staged_) % tx_cap_;
     std::uint8_t* slot = tx_stage_.data() + idx * tx_wire_max_;
@@ -347,37 +156,34 @@ void Endpoint::push(NodeId dest, const std::uint8_t* frame, std::size_t len,
                                        &cluster_.addr(dest)};
     ++tx_staged_;
     if (tx_staged_ == tx_cap_) flush_tx_batch();
-    return;
+    return WireStatus::kSent;
   }
-  const sockaddr_in& addr = cluster_.addr(dest);
-  for (;;) {
-    const UdpSocket::SendResult r = sock_.send_to(addr, frame, len);
-    if (r == UdpSocket::SendResult::kOk) {
+  switch (sock_.send_to(cluster_.addr(dest), frame, len)) {
+    case UdpSocket::SendResult::kOk:
       ++datagrams_tx_;
-      return;
-    }
-    if (r == UdpSocket::SendResult::kError) {
+      return WireStatus::kSent;
+    case UdpSocket::SendResult::kError:
       // The kernel refused the datagram for good: count it and let the
       // retransmit timer recover the frame, exactly as if the wire ate it.
       ++send_errors_;
-      return;
-    }
-    // EWOULDBLOCK / ENOBUFS is backpressure: service our own receive side
-    // while waiting, as a blocked FM sender must.
-    ++ewouldblock_stalls_;
-    if (trace_.enabled())
-      trace_.event(now_ns(), cat_stall_, 'i', dest, window_seq);
-    if (extract() == 0) idle_pause();
-    // The nested extract can invalidate a slab-backed frame (ack or
-    // dead-peer purge recycles the slot); re-validate before re-reading it.
-    if (window_seq != 0 && window_.find(dest, window_seq).data != frame)
-      return;
-    if (dead_peers_.count(dest) > 0) return;
+      return WireStatus::kError;
+    case UdpSocket::SendResult::kWouldBlock:
+      break;
   }
+  // EWOULDBLOCK / ENOBUFS is backpressure.
+  ++ewouldblock_stalls_;
+  if (trace_.enabled()) trace_.event(wire_clock_ns(), cat_stall_, 'i', dest, 0);
+  return WireStatus::kFull;
+}
+
+std::size_t Endpoint::wire_flush() {
+  if (tx_batch_on_) flush_tx_batch();
+  return tx_staged_;
 }
 
 void Endpoint::flush_tx_batch() {
   if (in_tx_flush_ || tx_staged_ == 0) return;
+  trace_.assert_writer();
   in_tx_flush_ = true;
   while (tx_staged_ > 0) {
     bool blocked = false;
@@ -448,7 +254,8 @@ void Endpoint::flush_tx_batch() {
       // frame is lost and none is sent twice — the short-count tests pin
       // this down.
       ++ewouldblock_stalls_;
-      if (trace_.enabled()) trace_.event(now_ns(), cat_stall_, 'i', 0, 0);
+      if (trace_.enabled())
+        trace_.event(wire_clock_ns(), cat_stall_, 'i', 0, 0);
       break;
     }
   }
@@ -459,18 +266,11 @@ void Endpoint::flush_tx_batch() {
 // Receive path
 // ---------------------------------------------------------------------------
 
-std::size_t Endpoint::extract() {
-  if (in_handler_) return 0;  // no re-entrant extraction from handlers
-  trace_.assert_writer();
-  // Flush points bracket the extract cycle: staged frames from before the
-  // call go out before we read (the peer may be waiting on them), and the
-  // acks/retries generated while processing go out before we return.
-  if (tx_batch_on_) flush_tx_batch();
-  const std::uint64_t trace_t0 = trace_.enabled() ? now_ns() : 0;
+std::size_t Endpoint::wire_receive() {
   std::size_t count = 0;
   // Bounded drain of the socket: one datagram is one frame, processed in
   // place in the preallocated receive buffer. The budget keeps a peer
-  // blasting datagrams at us from starving the post-loop retransmission
+  // blasting datagrams at us from starving the engine's retransmission
   // and ack work (the same discipline as the shm ring budget).
   if (tx_batch_on_) {
     // Batched drain: one recvmmsg fills the slab with up to rx_slots_
@@ -488,7 +288,6 @@ std::size_t Endpoint::extract() {
                           &seen, &count);
       if (m < want) break;  // queue ran dry mid-burst
     }
-    kernel_drops_ = sock_.kernel_drops();
   } else {
     for (std::size_t i = 0; i < extract_budget_; ++i) {
       std::uint16_t src_port = 0;
@@ -502,69 +301,13 @@ std::size_t Endpoint::extract() {
         ++stray_datagrams_;
         continue;
       }
-      last_heard_ns_[from] = now_ns();
-      ++stats_.frames_received;
+      heard_from(from);
       ++count;
-      process_frame(from, rx_buf_.data(), static_cast<std::size_t>(n));
+      receive(from, rx_buf_.data(), static_cast<std::size_t>(n));
       flush_deferred_tx();
     }
-    kernel_drops_ = sock_.kernel_drops();
   }
-  // Retransmit rejected frames whose backoff expired (a rejection proved
-  // the peer alive, so the timer re-arms with a fresh retry budget). The
-  // retry re-enters the pending window (its bounce released the slot) so a
-  // lost retry can be re-sourced by timeout retransmission; when the
-  // window is momentarily full the entry waits out another backoff period.
-  for (auto& entry : rejq_.tick(cfg_.reject_retry_delay)) {
-    if (dead_peers_.count(entry.dest) > 0) {
-      ++stats_.frames_discarded_dead;
-      continue;
-    }
-    // Leave one slot for a sender spinning in the blocked-send loop: its
-    // fresh fragment may be the one that completes an admitted reassembly
-    // at the rejecting peer, unwedging everyone bouncing off that slot.
-    if (window_.space() <= (send_blocked_spin_ ? 1u : 0u)) {
-      rejq_.add(entry.dest, entry.seq, std::move(entry.bytes));
-      continue;
-    }
-    ++stats_.retransmissions;
-    if (trace_.enabled())
-      trace_.event(now_ns(), cat_retransmit_, 'i', entry.dest, entry.seq);
-    window_.track(entry.dest, entry.seq, entry.bytes.data(),
-                  entry.bytes.size());
-    timer_.arm(entry.dest, entry.seq, now_ns());
-    inject(entry.dest, entry.bytes.data(), entry.bytes.size());
-  }
-  // Standalone acks for peers owed a batch (threshold below half a peer's
-  // in-flight allotment, same reasoning as the shm backend).
-  if (!in_ack_flush_) {
-    in_ack_flush_ = true;
-    std::size_t limit =
-        cfg_.window_mode ? cfg_.window_per_peer : cfg_.pending_window;
-    std::size_t threshold =
-        std::min(cfg_.ack_batch, std::max<std::size_t>(1, limit / 2));
-    acks_.peers_over_into(threshold, ack_peers_scratch_);
-    for (NodeId peer : ack_peers_scratch_) send_standalone_ack(peer);
-    // Duplicate frames seen this pass force an immediate flush to their
-    // senders, bypassing the batch threshold (see the dedup branch).
-    for (NodeId peer = 0; peer < dup_ack_due_.size(); ++peer) {
-      if (dup_ack_due_[peer] == 0) continue;
-      dup_ack_due_[peer] = 0;
-      send_standalone_ack(peer);
-    }
-    in_ack_flush_ = false;
-  }
-  reliability_tick();
-  drain_posted();
-  if (tx_batch_on_) flush_tx_batch();
-  if (trace_.enabled() && count > 0) {
-    const std::uint64_t now = now_ns();
-    trace_.event(trace_t0, cat_extract_, 'B', static_cast<std::uint32_t>(count));
-    trace_.event(now, cat_extract_, 'E', static_cast<std::uint32_t>(count));
-    trace_.event(now, cat_depth_, 'C',
-                 static_cast<std::uint32_t>(window_.in_flight()),
-                 static_cast<std::uint32_t>(rejq_.size()));
-  }
+  kernel_drops_ = sock_.kernel_drops();
   return count;
 }
 
@@ -573,7 +316,7 @@ void Endpoint::process_rx_buffer(const UdpSocket::RxMsg& m,
                                  std::size_t* count) {
   NodeId from = kInvalidNode;
   const bool known = cluster_.node_for_port(m.src_port, &from);
-  if (known) last_heard_ns_[from] = now_ns();
+  if (known) heard_from(from);
   if (m.len == 0) {
     // An empty datagram carries no frame; account for it and move on (the
     // GRO split below would otherwise make no progress on it).
@@ -598,317 +341,10 @@ void Endpoint::process_rx_buffer(const UdpSocket::RxMsg& m,
       ++stray_datagrams_;
       continue;
     }
-    ++stats_.frames_received;
     ++*count;
-    process_frame(from, base + off, flen);
+    receive(from, base + off, flen);
     flush_deferred_tx();
   }
-}
-
-void Endpoint::flush_deferred_tx() {
-  if (flushing_deferred_) return;
-  flushing_deferred_ = true;
-  while (!deferred_tx_.empty()) {
-    deferred_flush_scratch_.clear();
-    std::swap(deferred_tx_, deferred_flush_scratch_);
-    for (auto& t : deferred_flush_scratch_)
-      inject(t.dest, t.bytes.data(), t.bytes.size());
-  }
-  flushing_deferred_ = false;
-}
-
-void Endpoint::drain() {
-  for (;;) {
-    acks_.peers_into(drain_peers_scratch_);
-    for (NodeId peer : drain_peers_scratch_) send_standalone_ack(peer);
-    // Staged frames count as outstanding: returning with bytes still in
-    // the ring would leave a peer waiting on acks we never sent.
-    if (tx_batch_on_ && tx_staged_ > 0) flush_tx_batch();
-    if (window_.in_flight() == 0 && rejq_.size() == 0 && tx_staged_ == 0)
-      return;
-    if (extract() == 0) idle_pause();
-  }
-}
-
-void Endpoint::reliability_tick() {
-  if (in_reliability_tick_) return;
-  in_reliability_tick_ = true;
-  trace_.assert_writer();
-  const std::uint64_t now = now_ns();
-  timer_.expired_into(now, due_scratch_);
-  for (const auto& due : due_scratch_) {
-    if (due.exhausted) {
-      // Liveness guard: a retry budget exhausted against a peer we are
-      // still hearing from is congestion, not death. A batched burst into
-      // a saturated receive queue can strike the same frame out
-      // max_retries times while the peer's own data and acks keep
-      // arriving; killing it then forgets the dedup state and breaks
-      // exactly-once. Death needs a full detection horizon of *silence* —
-      // a SIGKILLed rank goes quiet and is declared dead exactly as fast
-      // as before; a congested one gets its frame re-armed with a fresh
-      // budget and recovery continues.
-      const std::uint64_t heard = last_heard_ns_[due.dest];
-      if (heard != 0 && now - heard < alive_grace_ns_) {
-        const SendWindow::Stored stored = window_.find(due.dest, due.seq);
-        if (stored.data == nullptr) continue;  // acked since expiry
-        ++stats_.retransmit_timeouts;
-        ++stats_.retransmissions;
-        if (trace_.enabled())
-          trace_.event(now_ns(), cat_retransmit_, 'i', due.dest, due.seq);
-        timer_.arm(due.dest, due.seq, now);
-        // fm-lint: allow(hotpath-alloc): capacity reserved at construction;
-        // the assign copies into warm storage without growing it.
-        retx_scratch_.assign(stored.data, stored.data + stored.len);
-        inject(due.dest, retx_scratch_.data(), retx_scratch_.size());
-        continue;
-      }
-      mark_peer_dead(due.dest);
-      continue;
-    }
-    const SendWindow::Stored stored = window_.find(due.dest, due.seq);
-    if (stored.data == nullptr) {
-      timer_.disarm(due.dest, due.seq);
-      continue;
-    }
-    ++stats_.retransmit_timeouts;
-    ++stats_.retransmissions;
-    if (trace_.enabled())
-      trace_.event(now_ns(), cat_retransmit_, 'i', due.dest, due.seq);
-    // inject() can re-enter extract() on socket backpressure, which may ack
-    // and recycle the slab slot — stage the bytes first.
-    // fm-lint: allow(hotpath-alloc): capacity reserved at construction; the
-    // assign copies into warm storage without growing it.
-    retx_scratch_.assign(stored.data, stored.data + stored.len);
-    inject(due.dest, retx_scratch_.data(), retx_scratch_.size());
-  }
-  // No reassembly-TTL sweep here: this backend always runs FM-R, where
-  // expiring a partial is silent message loss — the erased fragments were
-  // already acked, so their sender retains nothing to retransmit. A live
-  // peer's partial always completes (timeouts re-source lost frames,
-  // bounced frames retry from the reject queue); a dead peer's slots are
-  // freed by mark_peer_dead().
-  in_reliability_tick_ = false;
-}
-
-void Endpoint::mark_peer_dead(NodeId peer) {
-  if (!dead_peers_.insert(peer).second) return;
-  trace_.assert_writer();
-  ++stats_.peers_dead;
-  if (trace_.enabled()) trace_.event(now_ns(), cat_dead_peer_, 'i', peer, 0);
-  stats_.frames_discarded_dead += window_.drop_dest(peer);
-  timer_.disarm_all(peer);
-  stats_.frames_discarded_dead += rejq_.drop_dest(peer);
-  acks_.forget(peer);
-  dedup_.forget(peer);
-  reasm_.abort(peer);
-  credits_.erase(peer);
-  reorder_held_.erase(peer);
-}
-
-void Endpoint::process_frame(NodeId from, const std::uint8_t* data,
-                             std::size_t len) {
-  trace_.assert_writer();
-  auto hdr = decode_header(data, len);
-  if (!hdr.has_value()) {
-    // On a real network wire garbage is weather, not a protocol bug (the
-    // shm backend can afford to FM_CHECK here; a socket cannot).
-    ++stats_.malformed_frames;
-    return;
-  }
-  const FrameHeader& h = *hdr;
-  if (h.has_crc() && !frame_crc_ok(h, data)) {
-    ++stats_.crc_drops;
-    if (trace_.enabled())
-      trace_.event(now_ns(), cat_crc_drop_, 'i', from, h.seq);
-    return;  // no ack — the sender's retransmit timer recovers the frame
-  }
-  // Acks are attributed to the datagram's transport source (`from`), not
-  // the header's src field: the kernel-reported address is ground truth
-  // even when the payload bytes are suspect.
-  for (std::size_t i = 0; i < h.ack_count; ++i) {
-    std::uint32_t seq = frame_ack(h, data, i);
-    timer_.disarm(from, seq);
-    // fm-lint: allow(hotpath-alloc): credits_[from] was seeded on first
-    // send to the peer; an ack from it finds the entry already in place.
-    if (window_.ack(from, seq) && cfg_.window_mode) ++credits_[from];
-  }
-  switch (h.type) {
-    case FrameType::kAck:
-      break;
-    case FrameType::kReject: {
-      if (h.src != id_) {
-        // A reject for a frame we never sent: stray or corrupted. Drop.
-        ++stats_.malformed_frames;
-        return;
-      }
-      ++stats_.rejects_received;
-      // Timer disarmed and window slot freed together: the reject queue now
-      // retains the bytes, and a bounced frame pinning window capacity
-      // head-of-line blocks fragments bound for other peers (deadlock fuel
-      // when two senders bounce off each other's full receive pools).
-      timer_.disarm(from, h.seq);
-      park_reject(from, h, data);
-      window_.bounce(from, h.seq);
-      break;
-    }
-    case FrameType::kData: {
-      if (dedup_.seen(from, h.seq)) {
-        // Already accepted once: suppress delivery but re-ack, since the
-        // duplicate usually means our first ack was lost with the original.
-        // The re-ack is *threshold-exempt* (see extract()): a peer owed
-        // fewer acks than the batch threshold, with no reverse data to
-        // piggyback on, would otherwise starve a retransmitting sender
-        // into falsely declaring this live endpoint dead.
-        ++stats_.duplicates_suppressed;
-        if (trace_.enabled())
-          trace_.event(now_ns(), cat_dup_, 'i', from, h.seq);
-        acks_.note(from, h.seq);
-        dup_ack_due_[from] = 1;
-        break;
-      }
-      const std::uint8_t* payload = frame_payload(h, data);
-      if (h.fragmented()) {
-        switch (reasm_.feed(from, h, payload, &reasm_out_, now_ns(),
-                            h.handler == deposit_hid_ ? &deposit_sink_
-                                                      : nullptr)) {
-          case Reassembler::Feed::kMalformed:
-            ++stats_.malformed_frames;
-            return;  // dropped: no ack, no dedup mark
-          case Reassembler::Feed::kRejected:
-            ++stats_.rejects_issued;
-            if (trace_.enabled())
-              trace_.event(now_ns(), cat_reject_, 'i', from, h.seq);
-            defer_reject(from, h, data);
-            return;  // not accepted: no ack, no dedup mark
-          case Reassembler::Feed::kAccepted:
-            break;
-          case Reassembler::Feed::kComplete:
-            ++stats_.messages_delivered;
-            if (trace_.enabled())
-              trace_.event(now_ns(), cat_deliver_, 'i', from, h.seq);
-            in_handler_ = true;
-            handlers_.dispatch(h.handler, *this, from, reasm_out_.data(),
-                               reasm_out_.size());
-            in_handler_ = false;
-            break;
-        }
-      } else {
-        ++stats_.messages_delivered;
-        if (trace_.enabled())
-          trace_.event(now_ns(), cat_deliver_, 'i', from, h.seq);
-        in_handler_ = true;
-        handlers_.dispatch(h.handler, *this, from, payload, h.payload_len);
-        in_handler_ = false;
-      }
-      dedup_.mark(from, h.seq);
-      acks_.note(from, h.seq);
-      break;
-    }
-  }
-}
-
-void Endpoint::drain_posted() {
-  if (draining_posted_) return;
-  draining_posted_ = true;
-  while (posted_head_ < posted_.size()) {
-    // Index on every access: a blocked send nests extract(), and a handler
-    // running there may post more, reallocating posted_.
-    Status s = send(posted_[posted_head_].dest, posted_[posted_head_].handler,
-                    posted_[posted_head_].payload.data(),
-                    posted_[posted_head_].payload.size());
-    FM_CHECK_MSG(ok(s) || s == Status::kPeerDead, "posted send failed");
-    // fm-lint: allow(hotpath-alloc): returns the drained entry (and its
-    // payload capacity) to the pool; steady state moves, never grows.
-    posted_pool_.push_back(std::move(posted_[posted_head_]));
-    ++posted_head_;
-  }
-  posted_.clear();
-  posted_head_ = 0;
-  draining_posted_ = false;
-}
-
-void Endpoint::send_standalone_ack(NodeId peer) {
-  std::uint32_t acks[kMaxAcksPerFrame];
-  const std::size_t n = acks_.take_into(peer, kMaxAcksPerFrame, acks);
-  if (n == 0) return;
-  FrameHeader h;
-  h.type = FrameType::kAck;
-  h.src = id_;
-  if (cfg_.crc_frames) h.flags |= FrameHeader::kFlagCrc;
-  h.ack_count = static_cast<std::uint8_t>(n);
-  ++stats_.acks_standalone;
-  std::uint8_t buf[FrameHeader::kBaseBytes + 4 * kMaxAcksPerFrame +
-                   FrameHeader::kCrcBytes];
-  const std::size_t wire = encode_frame_into(buf, h, nullptr, acks);
-  inject(peer, buf, wire);
-}
-
-void Endpoint::park_reject(NodeId from, const FrameHeader& h,
-                           const std::uint8_t* data) {
-  FrameHeader clean = h;
-  clean.type = FrameType::kData;
-  clean.ack_count = 0;
-  rejq_.add(from, h.seq,
-            encode_frame(clean, frame_payload(h, data), nullptr));
-}
-
-void Endpoint::defer_reject(NodeId from, const FrameHeader& h,
-                            const std::uint8_t* data) {
-  FrameHeader rh = h;
-  rh.type = FrameType::kReject;
-  rh.ack_count = 0;
-  // Parked rather than injected: the receive buffer is being processed in
-  // place, and the backpressure a push can hit must not re-enter extract()
-  // from here.
-  deferred_tx_.push_back(
-      DeferredTx{from, encode_frame(rh, frame_payload(h, data), nullptr)});
-}
-
-void Endpoint::post_send4(NodeId dest, HandlerId handler, std::uint32_t w0,
-                          std::uint32_t w1, std::uint32_t w2,
-                          std::uint32_t w3) {
-  std::uint32_t words[4] = {w0, w1, w2, w3};
-  post_send(dest, handler, words, sizeof words);
-}
-
-void Endpoint::post_send(NodeId dest, HandlerId handler, const void* buf,
-                         std::size_t len) {
-  Posted p;
-  if (!posted_pool_.empty()) {
-    p = std::move(posted_pool_.back());
-    posted_pool_.pop_back();
-  }
-  p.dest = dest;
-  p.handler = handler;
-  const auto* b = static_cast<const std::uint8_t*>(buf);
-  // fm-lint: allow(hotpath-alloc): pooled entries carry warm payload
-  // capacity; the assign reuses it after the pool has been primed.
-  p.payload.assign(b, b + len);
-  // fm-lint: allow(hotpath-alloc): bounded by the number of posts a single
-  // handler batch issues; the vector's capacity is retained across drains.
-  posted_.push_back(std::move(p));
-}
-
-void Endpoint::post_send2(NodeId dest, HandlerId handler, const void* hdr,
-                          std::size_t hdr_len, const void* body,
-                          std::size_t body_len) {
-  Posted p;
-  if (!posted_pool_.empty()) {
-    p = std::move(posted_pool_.back());
-    posted_pool_.pop_back();
-  }
-  p.dest = dest;
-  p.handler = handler;
-  const auto* h = static_cast<const std::uint8_t*>(hdr);
-  const auto* b = static_cast<const std::uint8_t*>(body);
-  // fm-lint: allow(hotpath-alloc): pooled entries carry warm payload
-  // capacity; the assign reuses it after the pool has been primed.
-  p.payload.assign(h, h + hdr_len);
-  // fm-lint: allow(hotpath-alloc): appends within the same warm capacity.
-  p.payload.insert(p.payload.end(), b, b + body_len);
-  // fm-lint: allow(hotpath-alloc): bounded by the number of posts a single
-  // handler batch issues; the vector's capacity is retained across drains.
-  posted_.push_back(std::move(p));
 }
 
 }  // namespace fm::net

@@ -2,30 +2,31 @@
 //
 // The third backend. The sim endpoint reproduces the paper's numbers, the
 // shm endpoint runs the protocol between threads over lossless rings; this
-// endpoint runs the identical protocol between *separate OS processes*
-// over the kernel's UDP/loopback path, where drops, reorders, and
-// duplicates are supplied by a genuinely unreliable substrate instead of a
-// fault injector: one datagram is one FM frame (≈ one Myrinet packet), the
-// socket receive buffer is the NIC receive ring, and a kernel drop on a
-// full buffer is a link fault (docs/PROTOCOL.md §9 maps the layers).
+// endpoint runs the identical protocol — the same fm::Engine (fm/engine.h),
+// of which this class is the wire adapter — between *separate OS
+// processes* over the kernel's UDP/loopback path, where drops, reorders,
+// and duplicates are supplied by a genuinely unreliable substrate instead
+// of a fault injector: one datagram is one FM frame (≈ one Myrinet
+// packet), the socket receive buffer is the NIC receive ring, and a kernel
+// drop on a full buffer is a link fault (docs/PROTOCOL.md §9 maps the
+// layers).
 //
 // Consequently FM-R is mandatory here — the constructor rejects a config
 // without `reliability` — because UDP offers none of the delivery
-// guarantees the lossless shm rings gave for free. The PR 1 protocol
-// stack (SendWindow / RetransmitTimer / DedupFilter / CRC trailer) is
-// reused unchanged, and the hot path keeps the PR 2 discipline: frames are
-// serialized once, straight into the send-window slab, and handed to
-// sendto() from there — zero heap allocations per steady-state cycle
-// (tests/net/net_alloc_test.cc enforces it).
+// guarantees the lossless shm rings gave for free. The hot path keeps the
+// zero-copy discipline: frames are serialized once, straight into the
+// send-window slab, and handed to sendto() from there — zero heap
+// allocations per steady-state cycle (tests/net/net_alloc_test.cc enforces
+// it).
 //
 // Threading: each Endpoint belongs to exactly one process (its fork()ed
 // node). Handlers run inside extract() on that process, as on the other
 // backends.
 //
-// FM-Burst (PR 7): in batched mode (NetConfig::tx_batch, the default) the
-// steady state gathers every pending frame — data, piggybacked acks,
-// reject retries, retransmissions — into a preallocated staging ring and
-// hands the whole burst to sendmmsg(2) at the next flush point, while the
+// FM-Burst: in batched mode (NetConfig::tx_batch, the default) the steady
+// state gathers every pending frame — data, piggybacked acks, reject
+// retries, retransmissions — into a preallocated staging ring and hands
+// the whole burst to sendmmsg(2) at the next flush point, while the
 // receive side drains the socket in recvmmsg(2) bursts into one slab.
 // That is the syscall analogue of the paper's PIO gather / receive
 // aggregation: the expensive boundary (kernel crossing ≈ host/NIC I/O
@@ -35,113 +36,28 @@
 // receive (spin-then-poll hybrid that cuts wakeup latency out of t0).
 #pragma once
 
-#include <array>
+#include <sys/uio.h>
+
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/annotate.h"
-#include "common/status.h"
 #include "common/types.h"
 #include "fm/config.h"
-#include "fm/frame.h"
-#include "fm/handler_registry.h"
-#include "fm/protocol.h"
+#include "fm/engine.h"
 #include "hw/fault.h"
 #include "net/net_config.h"
 #include "net/socket.h"
-#include "obs/counters.h"
 #include "obs/registry.h"
-#include "obs/trace_ring.h"
 
 namespace fm::net {
 
 class Cluster;
 
-/// One node of the UDP FM cluster.
-class Endpoint {
+/// One node of the UDP FM cluster: the FM API of fm::Engine
+/// (send/extract/post_send/drain and every accessor) over a UDP socket.
+class Endpoint : public Engine<Endpoint> {
  public:
-  using Handler = HandlerRegistry<Endpoint>::Fn;
-  using Stats = obs::EndpointCounters;
-
-  Endpoint(const Endpoint&) = delete;
-  Endpoint& operator=(const Endpoint&) = delete;
-
-  /// Registers a handler (identically on every node, before Cluster::run).
-  HandlerId register_handler(Handler fn) { return handlers_.add(std::move(fn)); }
-
-  /// FM_send_4.
-  FM_HOT_PATH Status send4(NodeId dest, HandlerId handler, std::uint32_t w0,
-                           std::uint32_t w1, std::uint32_t w2,
-                           std::uint32_t w3);
-  /// FM_send (segments beyond one frame).
-  FM_HOT_PATH Status send(NodeId dest, HandlerId handler, const void* buf,
-                          std::size_t len);
-  /// FM_extract: processes currently deliverable datagrams; returns count.
-  FM_HOT_PATH std::size_t extract();
-  /// Extracts until `pred()` holds (poll()s the socket while idle).
-  template <typename Pred>
-  void extract_until(Pred&& pred) {
-    while (!pred()) {
-      if (extract() == 0) idle_pause();
-    }
-  }
-  /// Extracts until all outstanding frames are acknowledged and the reject
-  /// queue is empty; flushes owed acks so peers can drain too.
-  void drain();
-
-  /// Posted sends (the only legal way to send from handler context).
-  FM_HOT_PATH void post_send4(NodeId dest, HandlerId handler, std::uint32_t w0,
-                              std::uint32_t w1, std::uint32_t w2,
-                              std::uint32_t w3);
-  FM_HOT_PATH void post_send(NodeId dest, HandlerId handler, const void* buf,
-                             std::size_t len);
-  /// Two-part posted send (header + body gathered into one message); see
-  /// shm::Endpoint::post_send2 — the body is copied once, straight into the
-  /// posted payload.
-  FM_HOT_PATH void post_send2(NodeId dest, HandlerId handler, const void* hdr,
-                              std::size_t hdr_len, const void* body,
-                              std::size_t body_len);
-
-  /// Registers (or, with an empty fn, clears) the receive-side deposit sink
-  /// for fragmented messages bound for `hid` — see DepositSinkFn
-  /// (fm/protocol.h). One sink per endpoint; the layered protocol that owns
-  /// `hid` must clear it before it is destroyed.
-  void set_deposit_sink(HandlerId hid, DepositSinkFn fn) {
-    deposit_hid_ = fn ? hid : kInvalidHandler;
-    deposit_sink_ = std::move(fn);
-  }
-
-  /// Context-aware send for layered protocols (see shm::Endpoint).
-  Status send_or_post(NodeId dest, HandlerId handler, const void* buf,
-                      std::size_t len) {
-    if (!in_handler_) return send(dest, handler, buf, len);
-    if (dest >= cluster_size() || !handlers_.valid(handler))
-      return Status::kBadArgument;
-    post_send(dest, handler, buf, len);
-    return Status::kOk;
-  }
-
-  /// This node's id / cluster size.
-  NodeId id() const { return id_; }
-  std::size_t cluster_size() const;
-
-  /// Outstanding unacknowledged frames.
-  std::size_t unacked() const { return window_.in_flight(); }
-  /// Frames parked for retransmission.
-  std::size_t reject_queue_depth() const { return rejq_.size(); }
-  /// True when FM-R declared `peer` dead (sends to it fail immediately).
-  bool peer_dead(NodeId peer) const { return dead_peers_.count(peer) > 0; }
-  const Stats& stats() const { return stats_; }
-  const FmConfig& config() const { return cfg_; }
-  const hw::FaultInjector* faults() const { return faults_.get(); }
-  /// Mutable fault source for mid-run rate changes (FM-San chaos storms /
-  /// ramps). Each forked rank owns its endpoint outright, so the child may
-  /// call set_params() on it freely.
-  hw::FaultInjector* mutable_faults() { return faults_.get(); }
-
   /// Socket-level counters (beneath the protocol's Stats).
   std::uint64_t datagrams_tx() const { return datagrams_tx_; }
   std::uint64_t datagrams_rx() const { return datagrams_rx_; }
@@ -172,14 +88,9 @@ class Endpoint {
   /// True when TX coalesces runs into GSO trains and RX accepts GRO trains.
   bool gso_active() const { return gso_on_; }
 
-  /// FM-Scope registry ("net.node<id>").
-  obs::Registry& registry() { return registry_; }
-  const obs::Registry& registry() const { return registry_; }
-  obs::TraceRing& trace_ring() { return trace_; }
-  const obs::TraceRing& trace_ring() const { return trace_; }
-
  private:
   friend class Cluster;
+  friend class Engine<Endpoint>;
   /// `net` must be fully resolved (no -1 sentinels): the Cluster applies
   /// the FM_NET_* environment overrides before constructing endpoints.
   /// `nodes` is the cluster size (the Cluster's endpoint list is still
@@ -188,90 +99,33 @@ class Endpoint {
            const hw::FaultParams& faults, UdpSocket& sock,
            const NetConfig& net, std::size_t nodes);
 
-  // Wire-format bound on acks per frame (ack_count is a u8).
-  static constexpr std::size_t kMaxAcksPerFrame = 255;
+  // UDP drops, duplicates, reorders and (without CRC) can hand us garbage.
+  static constexpr bool kLosslessWire = false;
 
-  struct Posted {
-    NodeId dest = 0;
-    HandlerId handler = 0;
-    std::vector<std::uint8_t> payload;
-  };
-
-  struct DeferredTx {
-    NodeId dest = 0;
-    std::vector<std::uint8_t> bytes;
-  };
-
-  FM_HOT_PATH Status send_data_frame(NodeId dest, HandlerId handler,
-                                     const std::uint8_t* payload,
-                                     std::size_t len, bool fragmented,
-                                     std::uint32_t msg_id,
-                                     std::uint16_t frag_index,
-                                     std::uint16_t frag_count);
-  FM_HOT_PATH void inject(NodeId dest, const std::uint8_t* frame,
-                          std::size_t len, std::uint32_t window_seq = 0);
-  /// Fault-injection arm of inject(): copies the frame into stable local
-  /// storage before mutating it. Testing-only machinery, so it is the cold
-  /// boundary the hot closure stops at.
-  FM_COLD_PATH void inject_faulty(NodeId dest, const std::uint8_t* frame,
-                                  std::size_t len);
-  FM_HOT_PATH void push(NodeId dest, const std::uint8_t* frame,
-                        std::size_t len, std::uint32_t window_seq = 0);
+  FM_HOT_PATH WireStatus wire_push(NodeId dest, const std::uint8_t* frame,
+                                   std::size_t len);
+  FM_HOT_PATH std::size_t wire_receive();
+  FM_HOT_PATH std::size_t wire_flush();
+  /// Parking on the socket is the one blocking act this endpoint performs,
+  /// and only when there is no work at all — a cold boundary by design.
+  FM_COLD_PATH void wire_idle();
+  FM_HOT_PATH static std::uint64_t wire_clock_ns();
   /// Sends every staged frame with as few syscalls as the kernel allows
   /// (GSO trains for equal-size same-destination runs, sendmmsg for the
   /// rest). Transient backpressure leaves the unsent tail staged, in
   /// order; a later flush point retries it.
   FM_HOT_PATH void flush_tx_batch();
   /// One received buffer from the batched RX path: splits a GRO train into
-  /// its frames and feeds each through process_frame. `seen` counts wire
-  /// datagrams against the extract budget, `count` counts frames from
-  /// known peers (extract()'s return value).
+  /// its frames and feeds each to the engine. `seen` counts wire datagrams
+  /// against the extract budget, `count` counts frames from known peers
+  /// (extract()'s return value).
   FM_HOT_PATH void process_rx_buffer(const UdpSocket::RxMsg& m,
                                      const std::uint8_t* base,
                                      std::size_t* seen, std::size_t* count);
-  FM_HOT_PATH void process_frame(NodeId from, const std::uint8_t* data,
-                                 std::size_t len);
-  FM_HOT_PATH void send_standalone_ack(NodeId peer);
-  /// Re-encodes a rejected frame for delayed retransmission. Recovery
-  /// path: runs only after a peer rejected a fragment, so its heap use is
-  /// outside the steady-state hot closure.
-  FM_COLD_PATH void park_reject(NodeId from, const FrameHeader& h,
-                                const std::uint8_t* data);
-  FM_COLD_PATH void defer_reject(NodeId from, const FrameHeader& h,
-                                 const std::uint8_t* data);
-  FM_HOT_PATH void flush_deferred_tx();
-  FM_HOT_PATH void drain_posted();
-  FM_HOT_PATH void reliability_tick();
-  FM_COLD_PATH void mark_peer_dead(NodeId peer);
-  /// Parking on the socket is the one blocking act this endpoint performs,
-  /// and only when there is no work at all — a cold boundary by design.
-  FM_COLD_PATH void idle_pause();
-  FM_HOT_PATH static std::uint64_t now_ns();
 
   Cluster& cluster_;
-  NodeId id_;
-  FmConfig cfg_;
   UdpSocket& sock_;
   std::size_t extract_budget_;
-  HandlerRegistry<Endpoint> handlers_;
-  SendWindow window_;
-  AckTracker acks_;
-  Reassembler reasm_;
-  HandlerId deposit_hid_ = kInvalidHandler;
-  DepositSinkFn deposit_sink_;
-  RejectQueue rejq_;
-  RetransmitTimer timer_;
-  DedupFilter dedup_;
-  std::unordered_set<NodeId> dead_peers_;
-  // Liveness ledger: when each peer's datagrams were last seen (0: never).
-  // A retry budget exhausted against a peer heard within alive_grace_ns_
-  // is congestion, not death — the frame re-arms with a fresh budget
-  // instead of killing the peer (see reliability_tick). Matters most in
-  // batched mode, where a sendmmsg burst into a saturated receive queue
-  // can strike out max_retries times against a verifiably live peer.
-  std::vector<std::uint64_t> last_heard_ns_;
-  std::uint64_t alive_grace_ns_ = 0;
-  Stats stats_;
   // Socket counters (the layer below Stats: what the "NIC" actually did).
   std::uint64_t datagrams_tx_ = 0;
   std::uint64_t datagrams_rx_ = 0;
@@ -285,14 +139,6 @@ class Endpoint {
   std::uint64_t gso_segments_ = 0;
   std::uint64_t busy_poll_hits_ = 0;
   std::uint64_t gso_fallbacks_ = 0;
-  std::vector<Posted> posted_;
-  std::vector<Posted> posted_pool_;
-  std::size_t posted_head_ = 0;
-  std::unordered_map<NodeId, std::size_t> credits_;  // window mode only
-  std::unique_ptr<hw::FaultInjector> faults_;
-  std::unordered_map<NodeId, std::vector<std::uint8_t>> reorder_held_;
-  // Preallocated buffers that keep the steady-state hot path off the heap
-  // (same inventory as shm::Endpoint, plus the datagram receive buffer).
   std::vector<std::uint8_t> rx_buf_;  ///< One inbound datagram, in place.
   // FM-Burst mode state (resolved once at construction). tx_batch_on_ is
   // fixed for life; gso_on_ can additionally drop to false mid-run when a
@@ -318,41 +164,15 @@ class Endpoint {
   std::size_t rx_slots_ = 0;
   std::vector<std::uint8_t> rx_slab_;
   std::vector<UdpSocket::RxMsg> rx_msgs_;
-  std::array<std::vector<std::uint8_t>, 2> tx_scratch_;
-  std::size_t tx_depth_ = 0;
-  std::vector<std::uint8_t> retx_scratch_;
-  std::vector<std::uint8_t> reasm_out_;
-  std::vector<NodeId> ack_peers_scratch_;
-  std::vector<std::uint8_t> dup_ack_due_;  // peers that resent this pass
-  std::vector<NodeId> drain_peers_scratch_;
-  std::vector<RetransmitTimer::Due> due_scratch_;
-  std::vector<DeferredTx> deferred_tx_;
-  std::vector<DeferredTx> deferred_flush_scratch_;
-  std::uint32_t next_msg_id_ = 1;
-  bool in_handler_ = false;
-  bool draining_posted_ = false;
-  bool flushing_deferred_ = false;
-  bool in_ack_flush_ = false;
-  bool in_reliability_tick_ = false;
-  // Set while send_data_frame() spins on a full window so the reject-queue
-  // tick inside extract() leaves one slot free for the blocked frame
-  // (otherwise bounce-release + retry-re-track inside one extract() call
-  // starves the sender forever at reject_retry_delay 1).
-  bool send_blocked_spin_ = false;
-  obs::TraceRing trace_;
-  std::uint16_t cat_send_ = 0;
-  std::uint16_t cat_extract_ = 0;
-  std::uint16_t cat_deliver_ = 0;
-  std::uint16_t cat_retransmit_ = 0;
-  std::uint16_t cat_reject_ = 0;
-  std::uint16_t cat_crc_drop_ = 0;
-  std::uint16_t cat_dup_ = 0;
-  std::uint16_t cat_dead_peer_ = 0;
-  std::uint16_t cat_depth_ = 0;
   std::uint16_t cat_stall_ = 0;
-  // Declared last on purpose: gauges reference the members above, so the
-  // registry must be destroyed first (reverse declaration order).
+  // Declared last on purpose: the registry's counters and gauges reference
+  // the engine and the members above, so it must be destroyed first.
   obs::Registry registry_;
 };
 
 }  // namespace fm::net
+
+namespace fm {
+// Compiled once in net/endpoint.cc.
+extern template class Engine<net::Endpoint>;
+}  // namespace fm

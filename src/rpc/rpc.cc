@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstring>
-#include <thread>
 
 namespace fm::rpc {
 namespace {
@@ -47,12 +46,12 @@ Future RpcEngine::call_deadline(NodeId target, std::uint16_t method,
                                 std::uint64_t deadline_ns) {
   FM_CHECK_MSG(method < methods_.size(), "unregistered method");
   // Bounded window: service the endpoint until a slot frees. The deadline
-  // sweep inside poll() releases slots of overdue calls, so progress is
-  // guaranteed whenever deadlines are in use.
-  while (inflight_ >= cfg_.max_inflight) {
-    poll();
-    std::this_thread::yield();
-  }
+  // sweep releases slots of overdue calls, so progress is guaranteed
+  // whenever deadlines are in use.
+  ep_.extract_until([&] {
+    sweep();
+    return inflight_ < cfg_.max_inflight;
+  });
   std::uint32_t id = next_call_++;
   PendingCall& pc = pending_[id];
   pc.target = target;
@@ -177,9 +176,7 @@ void Future::cancel() {
 }
 
 std::vector<std::uint8_t>& Future::wait() {
-  while (!ready()) {
-    if (engine_->ep_.extract() == 0) std::this_thread::yield();
-  }
+  engine_->ep_.extract_until([this] { return ready(); });
   RpcEngine::PendingCall* pc = engine_->find(call_id_);
   FM_CHECK_MSG(pc->status == Status::kOk,
                "rpc call failed; use wait_result() for fallible calls");
@@ -187,9 +184,7 @@ std::vector<std::uint8_t>& Future::wait() {
 }
 
 Status Future::wait_result(std::vector<std::uint8_t>& out) {
-  while (!ready()) {
-    if (engine_->ep_.extract() == 0) std::this_thread::yield();
-  }
+  engine_->ep_.extract_until([this] { return ready(); });
   auto it = engine_->pending_.find(call_id_);
   const Status st = it->second.status;
   if (st == Status::kOk) out = std::move(it->second.reply);

@@ -8,7 +8,7 @@ namespace fm::serve {
 
 /// Tunables of the sharded serving plane. The sizing fields are hard
 /// preallocation bounds: the shard loop is allocation-free after
-/// construction (the serve analogue of PROTOCOL.md §8's zero-copy
+/// construction (the serve analogue of PROTOCOL.md §8.1's zero-copy
 /// guarantee, enforced by tests/serve/serve_alloc_test), so every table is
 /// a fixed slab and exhausting one is an admission decision (kOverload),
 /// never a realloc.

@@ -14,7 +14,7 @@ Cluster::Cluster(std::size_t nodes, FmConfig cfg, std::size_t ring_slots,
       rings_[i * nodes + j] = std::make_unique<SpscRing>(ring_slots, slot);
   for (std::size_t i = 0; i < nodes; ++i)
     endpoints_.push_back(std::unique_ptr<Endpoint>(
-        new Endpoint(*this, static_cast<NodeId>(i), cfg, faults)));
+        new Endpoint(*this, static_cast<NodeId>(i), nodes, cfg, faults)));
   barrier_ = std::make_unique<std::barrier<>>(static_cast<long>(nodes));
 }
 

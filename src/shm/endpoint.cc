@@ -2,741 +2,94 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
+#include <string>
 #include <thread>
 
 #include "shm/cluster.h"
 
+namespace fm {
+template class Engine<shm::Endpoint>;
+}  // namespace fm
+
 namespace fm::shm {
 
-Endpoint::Endpoint(Cluster& cluster, NodeId id, const FmConfig& cfg,
-                   const hw::FaultParams& faults)
-    : cluster_(cluster),
-      id_(id),
-      cfg_(cfg),
-      window_(cfg.pending_window, max_wire_bytes(cfg.frame_payload)),
-      reasm_(cfg.reassembly_slots),
-      timer_(cfg.retransmit_timeout_ns, cfg.max_retries),
-      trace_("shm.node" + std::to_string(id)),
+Endpoint::Endpoint(Cluster& cluster, NodeId id, std::size_t nodes,
+                   const FmConfig& cfg, const hw::FaultParams& faults)
+    : Engine(id, nodes, cfg, faults, "shm.node" + std::to_string(id)),
+      cluster_(cluster),
       registry_("shm.node" + std::to_string(id)) {
-  FM_CHECK_MSG(!cfg.reliability || cfg.flow_control,
-               "FM-R requires flow control: the send window holds the frame "
-               "copies retransmission needs");
-  for (auto& buf : tx_scratch_) buf.resize(max_wire_bytes(cfg.frame_payload));
-  retx_scratch_.reserve(max_wire_bytes(cfg.frame_payload));
   // Construction happens on the cluster's setup thread before any node
-  // thread exists, so this context owns both FM-Scope structures.
+  // thread exists, so this context owns the registry.
   registry_.assert_owner();
-  trace_.assert_writer();
-  // FM-Scope: every Stats field as a named counter, plus occupancy gauges
-  // for this backend's queue set (SPSC rings stand in for the wire, the
-  // reject/posted queues are the host-side stages). The ring gauges use
-  // size_approx(), whose racy-snapshot contract (clamped, possibly stale)
-  // is exactly right for monitoring; protocol decisions never read it.
-  stats_.register_into(registry_);
-  registry_.gauge("q.tx_rings_depth", [this] {
+  register_metrics(registry_);
+  // FM-Scope occupancy gauges for this wire (the SPSC rings stand in for
+  // it). They use size_approx(), whose racy-snapshot contract (clamped,
+  // possibly stale) is exactly right for monitoring; protocol decisions
+  // never read it.
+  registry_.gauge("q.tx_rings_depth", [this, id, nodes] {
     double n = 0;
-    for (NodeId dst = 0; dst < cluster_.size(); ++dst)
-      if (dst != id_) n += static_cast<double>(cluster_.ring(id_, dst).size_approx());
+    for (NodeId dst = 0; dst < nodes; ++dst)
+      if (dst != id)
+        n += static_cast<double>(cluster_.ring(id, dst).size_approx());
     return n;
   });
-  registry_.gauge("q.rx_rings_depth", [this] {
+  registry_.gauge("q.rx_rings_depth", [this, id, nodes] {
     double n = 0;
-    for (NodeId src = 0; src < cluster_.size(); ++src)
-      if (src != id_) n += static_cast<double>(cluster_.ring(src, id_).size_approx());
+    for (NodeId src = 0; src < nodes; ++src)
+      if (src != id)
+        n += static_cast<double>(cluster_.ring(src, id).size_approx());
     return n;
   });
-  registry_.gauge("q.reject_depth",
-                  [this] { return static_cast<double>(rejq_.size()); });
-  registry_.gauge("q.posted_depth", [this] {
-    return static_cast<double>(posted_.size() - posted_head_);
-  });
-  registry_.gauge("window.in_flight",
-                  [this] { return static_cast<double>(window_.in_flight()); });
-  registry_.gauge("reasm.active",
-                  [this] { return static_cast<double>(reasm_.active()); });
-  registry_.gauge("acks.due",
-                  [this] { return static_cast<double>(acks_.total_due()); });
-  registry_.gauge("timers.armed",
-                  [this] { return static_cast<double>(timer_.armed()); });
-  registry_.gauge("credits.available", [this] {
-    double n = 0;
-    for (const auto& [peer, c] : credits_) n += static_cast<double>(c);
-    return n;
-  });
-  cat_send_ = trace_.intern("send");
-  cat_extract_ = trace_.intern("extract");
-  cat_deliver_ = trace_.intern("deliver");
-  cat_retransmit_ = trace_.intern("retransmit");
-  cat_reject_ = trace_.intern("reject");
-  cat_crc_drop_ = trace_.intern("crc_drop");
-  cat_dup_ = trace_.intern("dup");
-  cat_dead_peer_ = trace_.intern("dead_peer");
-  cat_depth_ = trace_.intern("window_rejq_depth");
-  if (faults.enabled()) {
-    // Each endpoint gets its own injector (the rings must stay
-    // single-writer) with a decorrelated seed, so runs remain
-    // bit-reproducible yet the nodes do not fail in lockstep.
-    faults_ = std::make_unique<hw::FaultInjector>(decorrelate_faults(faults, id));
-  }
 }
 
-std::size_t Endpoint::cluster_size() const { return cluster_.size(); }
+void Endpoint::wire_idle() { std::this_thread::yield(); }
 
-void Endpoint::idle_pause() { std::this_thread::yield(); }
-
-std::uint64_t Endpoint::now_ns() {
+std::uint64_t Endpoint::wire_clock_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
 
-// ---------------------------------------------------------------------------
-// Send path
-// ---------------------------------------------------------------------------
-
-Status Endpoint::send4(NodeId dest, HandlerId handler, std::uint32_t w0,
-                       std::uint32_t w1, std::uint32_t w2, std::uint32_t w3) {
-  std::uint32_t words[4] = {w0, w1, w2, w3};
-  return send(dest, handler, words, sizeof words);
-}
-
-Status Endpoint::send(NodeId dest, HandlerId handler, const void* buf,
-                      std::size_t len) {
-  FM_CHECK_MSG(!in_handler_,
-               "send() from handler context; use post_send() instead");
-  if (dest >= cluster_.size()) return Status::kBadArgument;
-  if (!handlers_.valid(handler) || (len > 0 && buf == nullptr))
-    return Status::kBadArgument;
-  if (cfg_.reliability && dead_peers_.count(dest) > 0)
-    return Status::kPeerDead;
-  ++stats_.messages_sent;
-  const auto* bytes = static_cast<const std::uint8_t*>(buf);
-  if (len <= cfg_.frame_payload) {
-    Status s = send_data_frame(dest, handler, bytes, len, false, 0, 0, 1);
-    // Counted sent, then refused mid-flight by a dead-peer declaration:
-    // abandoned, for the conservation invariant (sent == delivered +
-    // abandoned while no peer is dead).
-    if (s == Status::kPeerDead) ++stats_.messages_abandoned;
-    return s;
-  }
-  const std::size_t per = cfg_.frame_payload;
-  const std::size_t frags = (len + per - 1) / per;
-  if (frags > 0xffff) return Status::kTooLarge;
-  const std::uint32_t msg_id = next_msg_id_++;
-  for (std::size_t i = 0; i < frags; ++i) {
-    const std::size_t off = i * per;
-    const std::size_t n = std::min(per, len - off);
-    Status s = send_data_frame(dest, handler, bytes + off, n, true, msg_id,
-                               static_cast<std::uint16_t>(i),
-                               static_cast<std::uint16_t>(frags));
-    if (!ok(s)) {
-      if (s == Status::kPeerDead) ++stats_.messages_abandoned;
-      return s;
-    }
-  }
-  return Status::kOk;
-}
-
-Status Endpoint::send_data_frame(NodeId dest, HandlerId handler,
-                                 const std::uint8_t* payload, std::size_t len,
-                                 bool fragmented, std::uint32_t msg_id,
-                                 std::uint16_t frag_index,
-                                 std::uint16_t frag_count) {
-  trace_.assert_writer();  // single-threaded endpoint: we are the writer
-  // Window gate — and, in window mode, a per-destination credit gate —
-  // servicing the network while blocked (the FM discipline).
-  auto blocked = [&] {
-    if (!cfg_.flow_control) return false;
-    if (window_.full()) return true;
-    if (cfg_.window_mode) {
-      auto it = credits_.find(dest);
-      if (it == credits_.end()) {
-        // fm-lint: allow(hotpath-alloc): first send to a peer creates its
-        // credit bucket once; every later send takes the find() above.
-        credits_[dest] = cfg_.window_per_peer;
-        return false;
-      }
-      return it->second == 0;
-    }
-    return false;
-  };
-  while (blocked()) {
-    // A peer declared dead while we were blocked frees its window slots;
-    // the caller learns immediately instead of spinning forever.
-    if (cfg_.reliability && dead_peers_.count(dest) > 0)
-      return Status::kPeerDead;
-    // Flag the spin so the reject-queue tick inside extract() leaves one
-    // window slot for this frame. Without the reservation a bounced
-    // frame's release and its retry's re-entry both land inside one
-    // extract() call (at reject_retry_delay 1), so this loop's recheck
-    // always sees the window full again — and a fresh fragment that would
-    // complete an admitted reassembly (unwedging every peer bouncing off
-    // that pool slot) is starved forever by its own sibling's retries.
-    const bool outer_spin = send_blocked_spin_;  // nested sends restore it
-    send_blocked_spin_ = true;
-    const std::size_t n = extract();
-    send_blocked_spin_ = outer_spin;
-    if (n == 0) idle_pause();
-  }
-  if (cfg_.reliability && dead_peers_.count(dest) > 0)
-    return Status::kPeerDead;
-  if (cfg_.flow_control && cfg_.window_mode) {
-    FM_CHECK(credits_[dest] > 0);
-    --credits_[dest];
-  }
-  FrameHeader h;
-  h.type = FrameType::kData;
-  h.handler = handler;
-  h.src = id_;
-  h.payload_len = static_cast<std::uint16_t>(len);
-  if (cfg_.crc_frames) h.flags |= FrameHeader::kFlagCrc;
-  if (fragmented) {
-    h.flags |= FrameHeader::kFlagFragmented;
-    h.msg_id = msg_id;
-    h.frag_index = frag_index;
-    h.frag_count = frag_count;
-  }
-  if (cfg_.flow_control) {
-    h.seq = window_.next_seq(dest);
-    std::uint32_t piggy[kMaxAcksPerFrame];
-    const std::size_t n_acks = acks_.take_into(
-        dest, std::min(cfg_.piggyback_acks, kMaxAcksPerFrame), piggy);
-    h.ack_count = static_cast<std::uint8_t>(n_acks);
-    stats_.acks_piggybacked += n_acks;
-    // The window slab slot doubles as the wire staging buffer and the
-    // retained retransmission copy: the frame is serialized exactly once,
-    // in place (the paper's PIO-gather, aimed at the window instead of the
-    // NIC), and injected straight from the slot.
-    // fm-lint: allow(hotpath-alloc): SendWindow::reserve claims a
-    // preallocated slab slot; it shares a name with vector::reserve, not
-    // its behaviour.
-    std::uint8_t* slot = window_.reserve(dest, h.seq);
-    const std::size_t wire =
-        encode_frame_into(slot, h, payload, n_acks ? piggy : nullptr);
-    window_.commit(wire);
-    if (cfg_.reliability) timer_.arm(dest, h.seq, now_ns());
-    ++stats_.frames_sent;
-    if (trace_.enabled()) trace_.event(now_ns(), cat_send_, 'i', dest, h.seq);
-    inject(dest, slot, wire, h.seq);
-    return Status::kOk;
-  }
-  // No flow control means no retained copy is needed: serialize into the
-  // depth-indexed scratch. Depth 2 suffices — a posted send drained from a
-  // nested extract() can overlap the app-context send, and drain_posted()'s
-  // re-entrancy guard rules out anything deeper.
-  FM_CHECK_MSG(tx_depth_ < tx_scratch_.size(), "send scratch depth exceeded");
-  std::uint8_t* buf = tx_scratch_[tx_depth_].data();
-  const std::size_t wire = encode_frame_into(buf, h, payload, nullptr);
-  ++stats_.frames_sent;
-  if (trace_.enabled()) trace_.event(now_ns(), cat_send_, 'i', dest, h.seq);
-  ++tx_depth_;
-  inject(dest, buf, wire);
-  --tx_depth_;
-  return Status::kOk;
-}
-
-void Endpoint::inject(NodeId dest, const std::uint8_t* frame, std::size_t len,
-                      std::uint32_t window_seq, bool nonblocking) {
-  if (faults_) {
-    // Fault-injection runs only in test configurations; the copies it makes
-    // are off the steady state by construction (hence the cold boundary).
-    inject_faulty(dest, frame, len, nonblocking);
-    return;
-  }
-  push(dest, frame, len, window_seq, nonblocking);
-}
-
-void Endpoint::inject_faulty(NodeId dest, const std::uint8_t* frame,
-                             std::size_t len, bool nonblocking) {
-  // The fault paths below copy the frame into stable local storage before
-  // any push, so slab-slot recycling cannot bite them: window_seq is not
-  // forwarded.
-  // Sender-side fault injection — the shm stand-in for the sim backend's
-  // faulty switch fabric. Same model: drop (single or burst), corrupt,
-  // duplicate, hold-and-overtake reorder.
-  if (faults_->should_drop()) return;
-  std::vector<std::uint8_t> bytes(frame, frame + len);
-  faults_->maybe_corrupt(bytes);
-  const bool dup = faults_->should_duplicate();
-  std::vector<std::uint8_t> release;
-  auto held = reorder_held_.find(dest);
-  if (held != reorder_held_.end()) {
-    release = std::move(held->second);
-    reorder_held_.erase(held);
-  } else if (faults_->should_reorder()) {
-    // Held until the next frame to this peer overtakes it (a timeout
-    // retransmission counts, so a held frame cannot be stuck forever).
-    reorder_held_[dest] = std::move(bytes);
-    return;
-  }
-  push(dest, bytes.data(), bytes.size(), 0, nonblocking);
-  if (dup) push(dest, bytes.data(), bytes.size(), 0, nonblocking);
-  if (!release.empty())
-    push(dest, release.data(), release.size(), 0, nonblocking);
-}
-
-void Endpoint::push(NodeId dest, const std::uint8_t* frame, std::size_t len,
-                    std::uint32_t window_seq, bool nonblocking) {
-  SpscRing& ring = cluster_.ring(id_, dest);
+WireStatus Endpoint::wire_push(NodeId dest, const std::uint8_t* frame,
+                               std::size_t len) {
+  SpscRing& ring = cluster_.ring(id(), dest);
   // This endpoint is, by cluster construction, the only writer of its
   // outgoing rings: claim the producer side for the ownership analysis.
   ring.assert_producer();
-  // A full ring is backpressure: keep servicing our own receive side while
-  // waiting so two nodes blasting each other cannot deadlock.
-  while (!ring.try_push(frame, len)) {
-    // Nonblocking pushes drop on backpressure instead: the caller holds a
-    // retained copy (FM-R) and must not spin here — notably the tick's
-    // retransmissions, where the nested extract below cannot escalate the
-    // very timers whose expiry is the only way out of a dead peer's
-    // permanently full ring.
-    if (nonblocking) return;
-    if (extract() == 0) idle_pause();
-    // When `frame` points into the window slab, the nested extract can
-    // invalidate it: a dead-peer declaration drops the slot, and a
-    // reliability_tick() retransmission of this very frame can be acked
-    // mid-spin, releasing the slot — either way the LIFO free list may
-    // hand it to another send (e.g. one drained from posted_), clobbering
-    // the bytes under us. Re-validate the slot still holds this frame
-    // before re-reading it; if it does not, the frame was dropped or has
-    // already been delivered via the retransmission, so nothing is lost.
-    if (window_seq != 0 && window_.find(dest, window_seq).data != frame)
-      return;
-    if (cfg_.reliability && dead_peers_.count(dest) > 0) return;
-  }
+  return ring.try_push(frame, len) ? WireStatus::kSent : WireStatus::kFull;
 }
 
-// ---------------------------------------------------------------------------
-// Receive path
-// ---------------------------------------------------------------------------
-
-std::size_t Endpoint::extract() {
-  if (in_handler_) return 0;  // no re-entrant extraction from handlers
-  // Trace the extract as a B/E span, but only when it consumed something:
-  // recording idle polls would flood the flight recorder while a blocked
-  // sender spins. Both records are appended after the fact with their true
-  // timestamps; the exporter's global sort restores chronological order
-  // (and correct nesting for extracts nested under ring backpressure).
-  trace_.assert_writer();  // single-threaded endpoint: we are the writer
-  const std::uint64_t trace_t0 = trace_.enabled() ? now_ns() : 0;
+std::size_t Endpoint::wire_receive() {
   std::size_t count = 0;
   // Round-robin over every incoming ring, draining bursts. Frames are
   // processed *in place* in their ring slots, up to kExtractBatch per
   // cross-core head publish — the paper's receive aggregation, plus the
-  // copy into a local scratch buffer eliminated. Sound only because
-  // process_frame() never re-enters extract(): every transmission it
-  // provokes is deferred (defer_reject) or queued (rejq_, posted_) and
-  // injected between batches, when the consumed slots are published and
-  // the ring is consistent again.
-  for (NodeId src = 0; src < cluster_.size(); ++src) {
-    if (src == id_) continue;
-    SpscRing& ring = cluster_.ring(src, id_);
-    // Mirror of push(): we are the only consumer of our incoming rings.
+  // copy into a local scratch buffer eliminated. Rejects the burst owes
+  // are injected between batches, once the consumed slots are published
+  // and the ring is consistent again.
+  for (NodeId src = 0; src < cluster_size(); ++src) {
+    if (src == id()) continue;
+    SpscRing& ring = cluster_.ring(src, id());
+    // Mirror of wire_push(): we are the only consumer of our incoming rings.
     ring.assert_consumer();
     // Bounded drain: a producer refilling as fast as we consume must not
-    // trap this loop and starve the post-loop retransmission/ack work.
+    // trap this loop and starve the post-receive retransmission/ack work.
     std::size_t budget = ring.capacity();
     while (budget > 0) {
       const std::size_t got = ring.try_consume_batch(
           std::min(budget, kExtractBatch),
           [&](const std::uint8_t* frame, std::size_t len) {
-            ++stats_.frames_received;
-            process_frame(src, frame, len);
+            receive(src, frame, len);
           });
       if (got == 0) break;
+      heard_from(src);
       count += got;
       budget -= got;
       flush_deferred_tx();
     }
   }
-  // Retransmit rejected frames whose backoff expired. Re-injection re-arms
-  // the FM-R timer with a fresh retry budget: a rejection proved the peer
-  // alive, so the dead-peer countdown restarts. The retry re-enters the
-  // pending window (its bounce released the slot) so a lost retry can be
-  // re-sourced by timeout retransmission; when the window is momentarily
-  // full the entry just waits out another backoff period.
-  for (auto& entry : rejq_.tick(cfg_.reject_retry_delay)) {
-    if (cfg_.reliability && dead_peers_.count(entry.dest) > 0) {
-      ++stats_.frames_discarded_dead;
-      continue;
-    }
-    // Leave one slot for a sender spinning in the blocked-send loop: its
-    // fresh fragment may be the one that completes an admitted reassembly
-    // at the rejecting peer, unwedging everyone bouncing off that slot.
-    if (window_.space() <= (send_blocked_spin_ ? 1u : 0u)) {
-      rejq_.add(entry.dest, entry.seq, std::move(entry.bytes));
-      continue;
-    }
-    ++stats_.retransmissions;
-    if (trace_.enabled())
-      trace_.event(now_ns(), cat_retransmit_, 'i', entry.dest, entry.seq);
-    window_.track(entry.dest, entry.seq, entry.bytes.data(),
-                  entry.bytes.size());
-    if (cfg_.reliability) timer_.arm(entry.dest, entry.seq, now_ns());
-    inject(entry.dest, entry.bytes.data(), entry.bytes.size());
-  }
-  // Standalone acks for peers owed a batch. The threshold must stay below
-  // half a peer's in-flight allotment (its pending window, or its credit
-  // allotment in window mode) or senders stall with their window full
-  // while we sit on their acks. Configurations are symmetric (SPMD), so
-  // our own config tells us the peers' limits. The re-entrancy guard keeps
-  // a nested extract (ack-push backpressure) off the shared worklist.
-  if (cfg_.flow_control && !in_ack_flush_) {
-    in_ack_flush_ = true;
-    std::size_t limit =
-        cfg_.window_mode ? cfg_.window_per_peer : cfg_.pending_window;
-    std::size_t threshold =
-        std::min(cfg_.ack_batch, std::max<std::size_t>(1, limit / 2));
-    acks_.peers_over_into(threshold, ack_peers_scratch_);
-    for (NodeId peer : ack_peers_scratch_) send_standalone_ack(peer);
-    // Duplicate frames seen this pass force an immediate flush to their
-    // senders, bypassing the batch threshold (see the dedup branch).
-    for (NodeId peer = 0; peer < dup_ack_due_.size(); ++peer) {
-      if (dup_ack_due_[peer] == 0) continue;
-      dup_ack_due_[peer] = 0;
-      send_standalone_ack(peer);
-    }
-    in_ack_flush_ = false;
-  }
-  reliability_tick();
-  // Reassembly TTL is a *lossy* reclamation: erasing a partial forgets
-  // fragments whose sender already saw them acked, so under FM-R it
-  // silently loses the whole message (nothing retained to retransmit, no
-  // one left retrying — the run goes quiescent with the message missing).
-  // With reliability on, a live peer's partial always completes (timeouts
-  // re-source lost frames, bounced frames retry from the reject queue) and
-  // a dead peer's slots are freed by mark_peer_dead(); the sweep therefore
-  // only runs in unreliable profiles, where a genuinely lost fragment
-  // would otherwise pin a receive-pool slot forever.
-  if (!cfg_.reliability && cfg_.reassembly_ttl_ns > 0 && reasm_.active() > 0) {
-    const std::uint64_t now = now_ns();
-    if (now > cfg_.reassembly_ttl_ns)
-      stats_.reassemblies_expired +=
-          reasm_.expire_older_than(now - cfg_.reassembly_ttl_ns);
-  }
-  drain_posted();
-  if (trace_.enabled() && count > 0) {
-    const std::uint64_t now = now_ns();
-    trace_.event(trace_t0, cat_extract_, 'B', static_cast<std::uint32_t>(count));
-    trace_.event(now, cat_extract_, 'E', static_cast<std::uint32_t>(count));
-    // Occupancy sample for Perfetto's counter track.
-    trace_.event(now, cat_depth_, 'C',
-                 static_cast<std::uint32_t>(window_.in_flight()),
-                 static_cast<std::uint32_t>(rejq_.size()));
-  }
   return count;
-}
-
-void Endpoint::flush_deferred_tx() {
-  if (flushing_deferred_) return;
-  flushing_deferred_ = true;
-  // Swap before walking: injection can block on a full ring and nest
-  // extract(), whose frames may defer further rejects — those land on the
-  // (now empty) live list and the outer loop picks them up next pass.
-  while (!deferred_tx_.empty()) {
-    deferred_flush_scratch_.clear();
-    std::swap(deferred_tx_, deferred_flush_scratch_);
-    for (auto& t : deferred_flush_scratch_)
-      inject(t.dest, t.bytes.data(), t.bytes.size());
-  }
-  flushing_deferred_ = false;
-}
-
-void Endpoint::drain() {
-  for (;;) {
-    if (cfg_.flow_control) {
-      acks_.peers_into(drain_peers_scratch_);
-      for (NodeId peer : drain_peers_scratch_) send_standalone_ack(peer);
-    }
-    if ((!cfg_.flow_control || window_.in_flight() == 0) && rejq_.size() == 0)
-      return;
-    if (extract() == 0) idle_pause();
-  }
-}
-
-void Endpoint::reliability_tick() {
-  if (!cfg_.reliability || in_reliability_tick_) return;
-  trace_.assert_writer();  // single-threaded endpoint: we are the writer
-  in_reliability_tick_ = true;
-  const std::uint64_t now = now_ns();
-  timer_.expired_into(now, due_scratch_);
-  for (const auto& due : due_scratch_) {
-    if (due.exhausted) {
-      mark_peer_dead(due.dest);
-      continue;
-    }
-    const SendWindow::Stored stored = window_.find(due.dest, due.seq);
-    if (stored.data == nullptr) {
-      // Acked (or bounced into the reject queue) between the deadline
-      // passing and the timer firing.
-      timer_.disarm(due.dest, due.seq);
-      continue;
-    }
-    ++stats_.retransmit_timeouts;
-    ++stats_.retransmissions;
-    if (trace_.enabled())
-      trace_.event(now_ns(), cat_retransmit_, 'i', due.dest, due.seq);
-    // inject() can re-enter extract() on ring backpressure, which may ack
-    // and recycle the slab slot — stage the bytes first. The tick guard
-    // above keeps the nested extract from clobbering the staging buffer.
-    // fm-lint: allow(hotpath-alloc): scratch capacity was reserved at
-    // construction, and a timeout retransmission is already recovery.
-    retx_scratch_.assign(stored.data, stored.data + stored.len);
-    // Nonblocking: a full ring to an unresponsive peer must not spin this
-    // tick (the re-entrancy guard means a nested extract can never run the
-    // escalation that declares the peer dead — the only exit). The frame
-    // stays retained and armed; the next expiry retries, and an exhausted
-    // budget still produces the dead-peer verdict.
-    inject(due.dest, retx_scratch_.data(), retx_scratch_.size(), 0,
-           /*nonblocking=*/true);
-  }
-  in_reliability_tick_ = false;
-}
-
-void Endpoint::mark_peer_dead(NodeId peer) {
-  trace_.assert_writer();  // single-threaded endpoint: we are the writer
-  if (!dead_peers_.insert(peer).second) return;
-  ++stats_.peers_dead;
-  if (trace_.enabled()) trace_.event(now_ns(), cat_dead_peer_, 'i', peer, 0);
-  // Drop every piece of state aimed at (or held for) the dead peer so
-  // blocked senders unblock and no slot stays pinned.
-  stats_.frames_discarded_dead += window_.drop_dest(peer);
-  timer_.disarm_all(peer);
-  stats_.frames_discarded_dead += rejq_.drop_dest(peer);
-  acks_.forget(peer);
-  dedup_.forget(peer);
-  reasm_.abort(peer);
-  credits_.erase(peer);
-  reorder_held_.erase(peer);
-}
-
-void Endpoint::process_frame(NodeId from, const std::uint8_t* data,
-                             std::size_t len) {
-  trace_.assert_writer();  // single-threaded endpoint: we are the writer
-  auto hdr = decode_header(data, len);
-  if (!hdr.has_value()) {
-    // Only injected corruption can produce wire garbage here; on a
-    // lossless ring a malformed frame is a protocol bug.
-    FM_CHECK_MSG(faults_ != nullptr, "malformed frame on ring");
-    ++stats_.malformed_frames;
-    return;
-  }
-  const FrameHeader& h = *hdr;
-  if (h.has_crc() && !frame_crc_ok(h, data)) {
-    ++stats_.crc_drops;
-    if (trace_.enabled())
-      trace_.event(now_ns(), cat_crc_drop_, 'i', from, h.seq);
-    return;  // no ack — the sender's retransmit timer recovers the frame
-  }
-  // Acks are attributed to the ring the frame arrived on (`from`), not the
-  // header's src field: the transport source is ground truth even when the
-  // payload bytes are suspect.
-  for (std::size_t i = 0; i < h.ack_count; ++i) {
-    std::uint32_t seq = frame_ack(h, data, i);
-    timer_.disarm(from, seq);
-    // fm-lint: allow(hotpath-alloc): the credit bucket already exists for
-    // any peer we sent to; operator[] only inserts on first contact.
-    if (window_.ack(from, seq) && cfg_.window_mode) ++credits_[from];
-  }
-  switch (h.type) {
-    case FrameType::kAck:
-      break;
-    case FrameType::kReject: {
-      // One of our data frames bounced off `from`; park a cleaned copy
-      // (type restored, stale piggybacked acks stripped) for retransmission.
-      if (h.src != id_) {
-        FM_CHECK_MSG(faults_ != nullptr, "reject for a frame we never sent");
-        ++stats_.malformed_frames;
-        return;
-      }
-      ++stats_.rejects_received;
-      // The rejection proved the peer alive; the reject-queue backoff now
-      // owns this frame and the timer re-arms at re-injection. The window
-      // slot is freed with it: a bounced frame is not in the network, and
-      // leaving it pinned head-of-line blocks fragments bound for other
-      // peers (two senders bouncing off each other's full receive pools
-      // would deadlock waiting for window space).
-      if (cfg_.reliability) timer_.disarm(from, h.seq);
-      park_reject(from, h, data);
-      window_.bounce(from, h.seq);
-      break;
-    }
-    case FrameType::kData: {
-      if (cfg_.reliability && dedup_.seen(from, h.seq)) {
-        // Already accepted once: suppress delivery but re-ack, since the
-        // duplicate usually means our first ack was lost with the original.
-        // The re-ack must be *threshold-exempt*: a retransmission proves
-        // the sender is burning FM-R retries waiting on us, and a peer
-        // owed fewer acks than the batch threshold, with no reverse data
-        // to piggyback on, would otherwise starve the sender into falsely
-        // declaring this live endpoint dead.
-        ++stats_.duplicates_suppressed;
-        if (trace_.enabled())
-          trace_.event(now_ns(), cat_dup_, 'i', from, h.seq);
-        acks_.note(from, h.seq);
-        // Sized here, not at construction: the cluster's endpoint vector is
-        // still filling while each Endpoint constructs, so size() is short.
-        // fm-lint: allow(hotpath-alloc): duplicates only arrive on the
-        // retransmission recovery path, never in the lossless steady state.
-        if (from >= dup_ack_due_.size()) dup_ack_due_.resize(cluster_size(), 0);
-        dup_ack_due_[from] = 1;
-        break;
-      }
-      const std::uint8_t* payload = frame_payload(h, data);
-      if (h.fragmented()) {
-        switch (reasm_.feed(from, h, payload, &reasm_out_, now_ns(),
-                            h.handler == deposit_hid_ ? &deposit_sink_
-                                                      : nullptr)) {
-          case Reassembler::Feed::kMalformed:
-            FM_CHECK_MSG(faults_ != nullptr,
-                         "malformed fragment on a lossless shm ring");
-            ++stats_.malformed_frames;
-            return;  // dropped: no ack, no dedup mark
-          case Reassembler::Feed::kRejected:
-            ++stats_.rejects_issued;
-            if (trace_.enabled())
-              trace_.event(now_ns(), cat_reject_, 'i', from, h.seq);
-            defer_reject(from, h, data);
-            return;  // not accepted: no ack, no dedup mark
-          case Reassembler::Feed::kAccepted:
-            break;
-          case Reassembler::Feed::kComplete:
-            ++stats_.messages_delivered;
-            if (trace_.enabled())
-              trace_.event(now_ns(), cat_deliver_, 'i', from, h.seq);
-            in_handler_ = true;
-            handlers_.dispatch(h.handler, *this, from, reasm_out_.data(),
-                               reasm_out_.size());
-            in_handler_ = false;
-            break;
-        }
-      } else {
-        ++stats_.messages_delivered;
-        if (trace_.enabled())
-          trace_.event(now_ns(), cat_deliver_, 'i', from, h.seq);
-        in_handler_ = true;
-        handlers_.dispatch(h.handler, *this, from, payload, h.payload_len);
-        in_handler_ = false;
-      }
-      if (cfg_.reliability) dedup_.mark(from, h.seq);
-      if (cfg_.flow_control) acks_.note(from, h.seq);
-      break;
-    }
-  }
-}
-
-void Endpoint::drain_posted() {
-  if (draining_posted_) return;
-  draining_posted_ = true;
-  while (posted_head_ < posted_.size()) {
-    // Index on every access: a blocked send nests extract(), and a handler
-    // running there may post more, reallocating posted_. The payload's own
-    // heap buffer is stable across that reallocation (vector move).
-    Status s = send(posted_[posted_head_].dest, posted_[posted_head_].handler,
-                    posted_[posted_head_].payload.data(),
-                    posted_[posted_head_].payload.size());
-    // A posted reply to a peer that died while it sat queued is dropped,
-    // not a crash.
-    FM_CHECK_MSG(ok(s) || s == Status::kPeerDead, "posted send failed");
-    // fm-lint: allow(hotpath-alloc): recycles the entry (and its warm
-    // payload buffer) into the pool; amortizes to zero allocations.
-    posted_pool_.push_back(std::move(posted_[posted_head_]));
-    ++posted_head_;
-  }
-  posted_.clear();
-  posted_head_ = 0;
-  draining_posted_ = false;
-}
-
-void Endpoint::send_standalone_ack(NodeId peer) {
-  std::uint32_t acks[kMaxAcksPerFrame];
-  const std::size_t n = acks_.take_into(peer, kMaxAcksPerFrame, acks);
-  if (n == 0) return;
-  FrameHeader h;
-  h.type = FrameType::kAck;
-  h.src = id_;
-  if (cfg_.crc_frames) h.flags |= FrameHeader::kFlagCrc;
-  h.ack_count = static_cast<std::uint8_t>(n);
-  ++stats_.acks_standalone;
-  // Largest possible ack frame fits on the stack, so each nesting level of
-  // extract() gets its own buffer for free.
-  std::uint8_t buf[FrameHeader::kBaseBytes + 4 * kMaxAcksPerFrame +
-                   FrameHeader::kCrcBytes];
-  const std::size_t wire = encode_frame_into(buf, h, nullptr, acks);
-  inject(peer, buf, wire);
-}
-
-void Endpoint::park_reject(NodeId from, const FrameHeader& h,
-                           const std::uint8_t* data) {
-  // One of our data frames bounced: park a cleaned copy (type restored,
-  // stale piggybacked acks stripped) for backoff retransmission. Cold by
-  // definition — a reject means a receive pool overflowed somewhere.
-  FrameHeader clean = h;
-  clean.type = FrameType::kData;
-  clean.ack_count = 0;
-  // clean inherits the CRC flag, so encode_frame recomputes a valid
-  // trailer over the cleaned frame.
-  rejq_.add(from, h.seq, encode_frame(clean, frame_payload(h, data), nullptr));
-}
-
-void Endpoint::defer_reject(NodeId from, const FrameHeader& h,
-                            const std::uint8_t* data) {
-  FrameHeader rh = h;
-  rh.type = FrameType::kReject;
-  rh.ack_count = 0;
-  // rh inherits the CRC flag, so encode_frame recomputes a valid trailer.
-  // Parked rather than injected: we are inside a consume batch, and the
-  // backpressure a push can hit must not re-enter extract() from here.
-  deferred_tx_.push_back(
-      DeferredTx{from, encode_frame(rh, frame_payload(h, data), nullptr)});
-}
-
-void Endpoint::post_send4(NodeId dest, HandlerId handler, std::uint32_t w0,
-                          std::uint32_t w1, std::uint32_t w2,
-                          std::uint32_t w3) {
-  std::uint32_t words[4] = {w0, w1, w2, w3};
-  post_send(dest, handler, words, sizeof words);
-}
-
-void Endpoint::post_send(NodeId dest, HandlerId handler, const void* buf,
-                         std::size_t len) {
-  Posted p;
-  if (!posted_pool_.empty()) {
-    p = std::move(posted_pool_.back());
-    posted_pool_.pop_back();
-  }
-  p.dest = dest;
-  p.handler = handler;
-  const auto* b = static_cast<const std::uint8_t*>(buf);
-  // fm-lint: allow(hotpath-alloc): assigns into the recycled entry's warm
-  // buffer; only a first-time larger payload grows it.
-  p.payload.assign(b, b + len);
-  // fm-lint: allow(hotpath-alloc): the posted list's capacity warms up and
-  // is kept by drain_posted()'s clear().
-  posted_.push_back(std::move(p));
-}
-
-void Endpoint::post_send2(NodeId dest, HandlerId handler, const void* hdr,
-                          std::size_t hdr_len, const void* body,
-                          std::size_t body_len) {
-  Posted p;
-  if (!posted_pool_.empty()) {
-    p = std::move(posted_pool_.back());
-    posted_pool_.pop_back();
-  }
-  p.dest = dest;
-  p.handler = handler;
-  const auto* h = static_cast<const std::uint8_t*>(hdr);
-  const auto* b = static_cast<const std::uint8_t*>(body);
-  // fm-lint: allow(hotpath-alloc): assigns into the recycled entry's warm
-  // buffer; only a first-time larger payload grows it.
-  p.payload.assign(h, h + hdr_len);
-  // fm-lint: allow(hotpath-alloc): appends within the same warm capacity.
-  p.payload.insert(p.payload.end(), b, b + body_len);
-  // fm-lint: allow(hotpath-alloc): the posted list's capacity warms up and
-  // is kept by drain_posted()'s clear().
-  posted_.push_back(std::move(p));
 }
 
 }  // namespace fm::shm

@@ -8,266 +8,66 @@
 // stand-in for the paper's Myrinet testbed available here (see DESIGN.md's
 // substitution table).
 //
+// The protocol itself is fm::Engine (fm/engine.h), shared with the net
+// backend; this class is its wire adapter. It pushes a frame into the
+// destination's ring without blocking, feeds the rings' frames to the
+// engine in place, stages nothing, and yields when idle.
+//
 // Threading: each Endpoint belongs to exactly one thread (FM was
 // single-threaded per node too). Handlers run inside extract() on the
 // owning thread; a handler that wants to communicate uses post_send*()
 // exactly as with the simulated endpoint.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
-#include <unordered_set>
-#include <vector>
 
 #include "common/annotate.h"
-#include "common/status.h"
 #include "common/types.h"
 #include "fm/config.h"
-#include "fm/frame.h"
-#include "fm/handler_registry.h"
-#include "fm/protocol.h"
+#include "fm/engine.h"
 #include "hw/fault.h"
-#include "obs/counters.h"
 #include "obs/registry.h"
-#include "obs/trace_ring.h"
 #include "shm/spsc_ring.h"
 
 namespace fm::shm {
 
 class Cluster;
 
-/// One node of the shared-memory FM cluster.
-class Endpoint {
- public:
-  using Handler = HandlerRegistry<Endpoint>::Fn;
-
-  /// Layer statistics: the FM-Scope shared counter block — one definition
-  /// for both backends (fm::SimEndpoint uses the same alias), registered by
-  /// name into this endpoint's registry().
-  using Stats = obs::EndpointCounters;
-
-  Endpoint(const Endpoint&) = delete;
-  Endpoint& operator=(const Endpoint&) = delete;
-
-  /// Registers a handler (identically on every node, before Cluster::run).
-  HandlerId register_handler(Handler fn) { return handlers_.add(std::move(fn)); }
-
-  /// FM_send_4.
-  FM_HOT_PATH Status send4(NodeId dest, HandlerId handler, std::uint32_t w0,
-                           std::uint32_t w1, std::uint32_t w2,
-                           std::uint32_t w3);
-  /// FM_send (segments beyond one frame).
-  FM_HOT_PATH Status send(NodeId dest, HandlerId handler, const void* buf,
-                          std::size_t len);
-  /// FM_extract: processes currently deliverable frames; returns count.
-  FM_HOT_PATH std::size_t extract();
-  /// Extracts until `pred()` holds (spins with yields while idle).
-  template <typename Pred>
-  void extract_until(Pred&& pred) {
-    while (!pred()) {
-      if (extract() == 0) idle_pause();
-    }
-  }
-  /// Extracts until all outstanding frames are acknowledged and the reject
-  /// queue is empty; flushes owed acks so peers can drain too.
-  void drain();
-
-  /// Posted sends (the only legal way to send from handler context).
-  FM_HOT_PATH void post_send4(NodeId dest, HandlerId handler, std::uint32_t w0,
-                              std::uint32_t w1, std::uint32_t w2,
-                              std::uint32_t w3);
-  FM_HOT_PATH void post_send(NodeId dest, HandlerId handler, const void* buf,
-                             std::size_t len);
-  /// Two-part posted send (header + body gathered into one message): spares
-  /// layered protocols the intermediate buffer that stitching the parts
-  /// together before posting would need — the body is copied once, from its
-  /// source straight into the posted payload.
-  FM_HOT_PATH void post_send2(NodeId dest, HandlerId handler, const void* hdr,
-                              std::size_t hdr_len, const void* body,
-                              std::size_t body_len);
-
-  /// Registers (or, with an empty fn, clears) the receive-side deposit sink
-  /// for fragmented messages bound for `hid` — see DepositSinkFn
-  /// (fm/protocol.h). One sink per endpoint; the layered protocol that owns
-  /// `hid` must clear it before it is destroyed.
-  void set_deposit_sink(HandlerId hid, DepositSinkFn fn) {
-    deposit_hid_ = fn ? hid : kInvalidHandler;
-    deposit_sink_ = std::move(fn);
-  }
-
-  /// Context-aware send for layered protocols whose code runs both from
-  /// application context and from handler context: sends immediately when
-  /// legal, otherwise posts (injected when the running extract() finishes).
-  Status send_or_post(NodeId dest, HandlerId handler, const void* buf,
-                      std::size_t len) {
-    if (!in_handler_) return send(dest, handler, buf, len);
-    if (dest >= cluster_size() || !handlers_.valid(handler))
-      return Status::kBadArgument;
-    post_send(dest, handler, buf, len);
-    return Status::kOk;
-  }
-
-  /// This node's id / cluster size.
-  NodeId id() const { return id_; }
-  std::size_t cluster_size() const;
-
-  /// Outstanding unacknowledged frames.
-  std::size_t unacked() const { return window_.in_flight(); }
-  /// Frames parked for retransmission.
-  std::size_t reject_queue_depth() const { return rejq_.size(); }
-  /// True when FM-R declared `peer` dead (sends to it fail immediately).
-  bool peer_dead(NodeId peer) const { return dead_peers_.count(peer) > 0; }
-  const Stats& stats() const { return stats_; }
-  const FmConfig& config() const { return cfg_; }
-  /// This endpoint's sender-side fault source (null when faults are off).
-  const hw::FaultInjector* faults() const { return faults_.get(); }
-  /// Mutable fault source for mid-run rate changes (FM-San chaos storms /
-  /// ramps). Only the thread running this endpoint's node_main may call
-  /// set_params() on it.
-  hw::FaultInjector* mutable_faults() { return faults_.get(); }
-  /// FM-Scope registry ("shm.node<id>"): every Stats field as a named
-  /// counter plus ring/queue occupancy gauges. Sample from the owning
-  /// thread, or after Cluster::run() returned.
-  obs::Registry& registry() { return registry_; }
-  const obs::Registry& registry() const { return registry_; }
-  /// FM-Scope trace ring. Disabled by default (one branch per hot-path
-  /// event site); trace_ring().enable(n) starts the flight recorder —
-  /// still allocation-free on the hot path (shm_alloc_test enforces it).
-  obs::TraceRing& trace_ring() { return trace_; }
-  const obs::TraceRing& trace_ring() const { return trace_; }
-
+/// One node of the shared-memory FM cluster: the FM API of fm::Engine
+/// (send/extract/post_send/drain and every accessor) over SPSC rings.
+class Endpoint : public Engine<Endpoint> {
  private:
   friend class Cluster;
-  Endpoint(Cluster& cluster, NodeId id, const FmConfig& cfg,
+  friend class Engine<Endpoint>;
+  Endpoint(Cluster& cluster, NodeId id, std::size_t nodes, const FmConfig& cfg,
            const hw::FaultParams& faults);
 
+  // A ring never loses or garbles a frame; only the fault injector can.
+  static constexpr bool kLosslessWire = true;
   // Frames consumed from a ring per head publish: the shm analogue of the
   // paper's receive aggregation (one cross-core index update amortized over
   // a burst), kept modest so a blocked producer sees freed slots promptly.
   static constexpr std::size_t kExtractBatch = 32;
-  // Wire-format bound on acks per frame (ack_count is a u8).
-  static constexpr std::size_t kMaxAcksPerFrame = 255;
 
-  struct Posted {
-    NodeId dest = 0;
-    HandlerId handler = 0;
-    std::vector<std::uint8_t> payload;
-  };
-
-  struct DeferredTx {
-    NodeId dest = 0;
-    std::vector<std::uint8_t> bytes;
-  };
-
-  FM_HOT_PATH Status send_data_frame(NodeId dest, HandlerId handler,
-                                     const std::uint8_t* payload,
-                                     std::size_t len, bool fragmented,
-                                     std::uint32_t msg_id,
-                                     std::uint16_t frag_index,
-                                     std::uint16_t frag_count);
-  // `window_seq` names the send-window entry when `frame` points into the
-  // window slab (0 — never a valid seq — otherwise): a blocked push must
-  // re-validate the slot after nested extract()s, which can release and
-  // recycle it (see push()). `nonblocking` turns a full destination ring
-  // into a silent drop instead of a backpressure spin — only sound for
-  // frames FM-R retains elsewhere (retransmissions; see reliability_tick).
-  FM_HOT_PATH void inject(NodeId dest, const std::uint8_t* frame,
-                          std::size_t len, std::uint32_t window_seq = 0,
-                          bool nonblocking = false);
-  // The fault-model detour: copies the frame to stable storage, then
-  // drops/corrupts/duplicates/reorders. Test-configuration-only, so it is
-  // an explicit cold boundary off the allocation-free steady state.
-  FM_COLD_PATH void inject_faulty(NodeId dest, const std::uint8_t* frame,
-                                  std::size_t len, bool nonblocking);
-  FM_HOT_PATH void push(NodeId dest, const std::uint8_t* frame,
-                        std::size_t len, std::uint32_t window_seq = 0,
-                        bool nonblocking = false);
-  FM_HOT_PATH void process_frame(NodeId from, const std::uint8_t* data,
-                                 std::size_t len);
-  FM_HOT_PATH void send_standalone_ack(NodeId peer);
-  // Reject handling (both directions) only runs once a receive pool
-  // overflowed — the §4.5 recovery path, kept off the hot closure.
-  FM_COLD_PATH void park_reject(NodeId from, const FrameHeader& h,
-                                const std::uint8_t* data);
-  FM_COLD_PATH void defer_reject(NodeId from, const FrameHeader& h,
-                                 const std::uint8_t* data);
-  FM_HOT_PATH void flush_deferred_tx();
-  FM_HOT_PATH void drain_posted();
-  FM_HOT_PATH void reliability_tick();
-  FM_COLD_PATH void mark_peer_dead(NodeId peer);
+  FM_HOT_PATH WireStatus wire_push(NodeId dest, const std::uint8_t* frame,
+                                   std::size_t len);
+  FM_HOT_PATH std::size_t wire_receive();
+  // Frames go straight into the ring: nothing is ever staged.
+  FM_HOT_PATH std::size_t wire_flush() { return 0; }
   // The explicit idle primitive: yielding is the one "blocking" act the
   // steady state is allowed, and only when there was no work at all.
-  FM_COLD_PATH void idle_pause();
-  FM_HOT_PATH static std::uint64_t now_ns();
+  FM_COLD_PATH void wire_idle();
+  FM_HOT_PATH static std::uint64_t wire_clock_ns();
 
   Cluster& cluster_;
-  NodeId id_;
-  FmConfig cfg_;
-  HandlerRegistry<Endpoint> handlers_;
-  SendWindow window_;
-  AckTracker acks_;
-  Reassembler reasm_;
-  HandlerId deposit_hid_ = kInvalidHandler;
-  DepositSinkFn deposit_sink_;
-  RejectQueue rejq_;
-  RetransmitTimer timer_;
-  DedupFilter dedup_;
-  std::unordered_set<NodeId> dead_peers_;
-  Stats stats_;
-  std::vector<Posted> posted_;
-  std::vector<Posted> posted_pool_;  // recycled entries, warm payload buffers
-  std::size_t posted_head_ = 0;      // consumed prefix of posted_
-  std::unordered_map<NodeId, std::size_t> credits_;  // window mode only
-  // Sender-side fault injection (the shm stand-in for the switch fabric's
-  // FaultInjector; one per endpoint so the SPSC rings stay single-writer).
-  std::unique_ptr<hw::FaultInjector> faults_;
-  std::unordered_map<NodeId, std::vector<std::uint8_t>> reorder_held_;
-  // Reusable buffers that keep the steady-state hot path off the heap.
-  // tx_scratch_ holds in-flight frame bytes for sends without a window slab
-  // slot; it is depth-indexed because a posted send drained from a nested
-  // extract() can overlap one app-context send (and only one — drain_posted
-  // is re-entrancy-guarded).
-  std::array<std::vector<std::uint8_t>, 2> tx_scratch_;
-  std::size_t tx_depth_ = 0;
-  std::vector<std::uint8_t> retx_scratch_;   // staged retransmission bytes
-  std::vector<std::uint8_t> reasm_out_;      // completed reassembled message
-  std::vector<NodeId> ack_peers_scratch_;    // extract()'s ack-flush worklist
-  std::vector<std::uint8_t> dup_ack_due_;    // peers that resent this pass
-  std::vector<NodeId> drain_peers_scratch_;  // drain()'s ack worklist
-  std::vector<RetransmitTimer::Due> due_scratch_;  // reliability_tick()'s
-  // Rejects owed for frames processed in place inside a ring slot: injecting
-  // mid-batch could re-enter extract() while unpublished frames are live, so
-  // they are encoded at processing time and injected after the batch.
-  std::vector<DeferredTx> deferred_tx_;
-  std::vector<DeferredTx> deferred_flush_scratch_;
-  std::uint32_t next_msg_id_ = 1;
-  bool in_handler_ = false;
-  bool draining_posted_ = false;
-  bool flushing_deferred_ = false;
-  bool in_ack_flush_ = false;
-  bool in_reliability_tick_ = false;
-  // Set while send_data_frame() spins on a full window so the reject-queue
-  // tick inside extract() leaves one slot free for the blocked frame
-  // (otherwise bounce-release + retry-re-track inside one extract() call
-  // starves the sender forever at reject_retry_delay 1).
-  bool send_blocked_spin_ = false;
-  // FM-Scope. Category ids are interned at construction so the hot path
-  // stores 16-bit ids, never strings.
-  obs::TraceRing trace_;
-  std::uint16_t cat_send_ = 0;
-  std::uint16_t cat_extract_ = 0;
-  std::uint16_t cat_deliver_ = 0;
-  std::uint16_t cat_retransmit_ = 0;
-  std::uint16_t cat_reject_ = 0;
-  std::uint16_t cat_crc_drop_ = 0;
-  std::uint16_t cat_dup_ = 0;
-  std::uint16_t cat_dead_peer_ = 0;
-  std::uint16_t cat_depth_ = 0;
-  // Declared last on purpose: the registry's gauges reference the members
-  // above, so it must be destroyed first (reverse declaration order).
+  // Declared last on purpose: the registry's counters and gauges reference
+  // the engine and the members above, so it must be destroyed first.
   obs::Registry registry_;
 };
 
 }  // namespace fm::shm
+
+namespace fm {
+// Compiled once in shm/endpoint.cc.
+extern template class Engine<shm::Endpoint>;
+}  // namespace fm

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstring>
-#include <thread>
 
 namespace fm::stream {
 namespace {
@@ -35,11 +34,9 @@ bool Connection::write(const void* buf, std::size_t len) {
     // Respect the peer's window: block (servicing the endpoint) until the
     // receiver grants more credit. A dead-peer verdict breaks the wait —
     // credit from a dead receiver is never coming.
-    while (tx_credit_ < n) {
-      if (peer_fin_ || peer_dead()) return false;  // peer went away
-      mgr_.poll();
-      if (tx_credit_ < n) std::this_thread::yield();
-    }
+    mgr_.ep_.extract_until(
+        [&] { return tx_credit_ >= n || peer_fin_ || peer_dead(); });
+    if (tx_credit_ < n) return false;  // peer went away
     tx_credit_ -= n;
     mgr_.send_msg(peer_, StreamMgr::Type::kData, peer_id_, tx_seq_++,
                   bytes + off, n);
@@ -52,11 +49,9 @@ bool Connection::peer_dead() const { return mgr_.ep_.peer_dead(peer_); }
 
 std::size_t Connection::read(void* buf, std::size_t maxlen) {
   if (maxlen == 0) return 0;
-  while (rx_buffer_.empty()) {
-    if (peer_fin_ || peer_dead()) return 0;  // EOF (orderly or broken)
-    mgr_.poll();
-    if (rx_buffer_.empty()) std::this_thread::yield();
-  }
+  mgr_.ep_.extract_until(
+      [&] { return !rx_buffer_.empty() || peer_fin_ || peer_dead(); });
+  if (rx_buffer_.empty()) return 0;  // EOF (orderly or broken)
   std::size_t n = std::min(maxlen, rx_buffer_.size());
   auto* out = static_cast<std::uint8_t*>(buf);
   for (std::size_t i = 0; i < n; ++i) {
@@ -79,12 +74,14 @@ Status Connection::read_deadline(void* buf, std::size_t maxlen,
   *n = 0;
   if (maxlen == 0) return Status::kOk;
   const std::uint64_t limit = now_ns() + deadline_ns;
-  while (rx_buffer_.empty()) {
+  mgr_.ep_.extract_until([&] {
+    return !rx_buffer_.empty() || peer_fin_ || peer_dead() ||
+           now_ns() >= limit;
+  });
+  if (rx_buffer_.empty()) {
     if (peer_fin_) return Status::kOk;  // EOF, *n = 0
     if (peer_dead()) return Status::kPeerDead;
-    if (now_ns() >= limit) return Status::kDeadline;
-    mgr_.poll();
-    if (rx_buffer_.empty()) std::this_thread::yield();
+    return Status::kDeadline;
   }
   *n = read(buf, maxlen);  // buffered data: completes without blocking
   return Status::kOk;
@@ -135,11 +132,8 @@ Connection& StreamMgr::connect(NodeId peer, std::uint16_t port) {
   send_msg(peer, Type::kSyn, port, conn.id_, nullptr, 0);
   // Block until the SYN_ACK fills in the peer's connection id. A dead-peer
   // verdict turns an infinite hang into a diagnosable failure.
-  while (conn.peer_id_ == 0) {
-    FM_CHECK_MSG(!ep_.peer_dead(peer), "connect(): peer declared dead");
-    poll();
-    if (conn.peer_id_ == 0) std::this_thread::yield();
-  }
+  ep_.extract_until([&] { return conn.peer_id_ != 0 || ep_.peer_dead(peer); });
+  FM_CHECK_MSG(conn.peer_id_ != 0, "connect(): peer declared dead");
   return conn;
 }
 
@@ -148,13 +142,12 @@ Connection* StreamMgr::try_connect(NodeId peer, std::uint16_t port,
   Connection& conn = alloc_connection(peer, /*peer_id=*/0);
   send_msg(peer, Type::kSyn, port, conn.id_, nullptr, 0);
   const std::uint64_t limit = now_ns() + deadline_ns;
-  while (conn.peer_id_ == 0) {
-    if (ep_.peer_dead(peer) || now_ns() >= limit) {
-      connections_.erase(conn.id_);
-      return nullptr;
-    }
-    poll();
-    if (conn.peer_id_ == 0) std::this_thread::yield();
+  ep_.extract_until([&] {
+    return conn.peer_id_ != 0 || ep_.peer_dead(peer) || now_ns() >= limit;
+  });
+  if (conn.peer_id_ == 0) {
+    connections_.erase(conn.id_);
+    return nullptr;
   }
   return &conn;
 }
@@ -162,16 +155,11 @@ Connection* StreamMgr::try_connect(NodeId peer, std::uint16_t port,
 Connection& StreamMgr::accept(std::uint16_t port) {
   FM_CHECK_MSG(listening_.count(port) && listening_[port],
                "accept() on a non-listening port");
-  for (;;) {
-    auto& q = pending_accepts_[port];
-    if (!q.empty()) {
-      std::uint32_t id = q.front();
-      q.pop_front();
-      return *connections_.at(id);
-    }
-    poll();
-    if (pending_accepts_[port].empty()) std::this_thread::yield();
-  }
+  ep_.extract_until([&] { return !pending_accepts_[port].empty(); });
+  auto& q = pending_accepts_[port];
+  std::uint32_t id = q.front();
+  q.pop_front();
+  return *connections_.at(id);
 }
 
 void StreamMgr::poll() { ep_.extract(); }

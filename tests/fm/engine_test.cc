@@ -1,0 +1,179 @@
+// fm::Engine over an in-memory wire with a hand-advanced clock.
+//
+// The engine is the one copy of the FM protocol; shm::Endpoint and
+// net::Endpoint are wire adapters over it. This test supplies a third
+// adapter — two endpoints joined by in-memory queues, a clock that moves
+// only when the test says so, and a switch that makes the wire eat one
+// direction's data frames — so FM-R's liveness rule can be checked by
+// counters and fake time alone: no threads, no sockets, no sleeps.
+//
+// The rule (docs/PROTOCOL.md §7): a frame whose retry budget runs out
+// against a peer heard from within one detection horizon is re-armed, and
+// the peer is not declared dead; only a horizon of silence kills it.
+#include <gtest/gtest.h>
+
+#include <array>
+#include <cstdint>
+#include <deque>
+#include <string>
+#include <vector>
+
+#include "fm/engine.h"
+#include "fm/frame.h"
+#include "obs/registry.h"
+
+namespace fm {
+namespace {
+
+/// The shared medium: one inbox per node, the clock, and the loss switch.
+struct FakeWire {
+  std::uint64_t now_ns = 1;  // 0 reads as "never heard"
+  std::array<std::deque<std::vector<std::uint8_t>>, 2> inbox;
+  /// When set, every data frame node 0 sends to node 1 is lost. Acks and
+  /// node 1's own traffic still flow, so node 1 stays audibly alive.
+  bool drop_data_0_to_1 = false;
+};
+
+class FakeEndpoint : public Engine<FakeEndpoint> {
+ public:
+  FakeEndpoint(FakeWire& wire, NodeId id, const FmConfig& cfg)
+      : Engine(id, 2, cfg, hw::FaultParams(), scope(id)),
+        medium_(wire),
+        registry_(scope(id)) {
+    registry_.assert_owner();
+    register_metrics(registry_);
+  }
+
+ private:
+  friend class Engine<FakeEndpoint>;
+  static constexpr bool kLosslessWire = false;
+
+  static std::string scope(NodeId id) {
+    return "sim.fake" + std::to_string(id);
+  }
+
+  WireStatus wire_push(NodeId dest, const std::uint8_t* frame,
+                       std::size_t len) {
+    const auto hdr = decode_header(frame, len);
+    if (medium_.drop_data_0_to_1 && id() == 0 && dest == 1 &&
+        hdr.has_value() && hdr->type == FrameType::kData)
+      return WireStatus::kSent;  // the wire ate it
+    medium_.inbox[dest].emplace_back(frame, frame + len);
+    return WireStatus::kSent;
+  }
+
+  std::size_t wire_receive() {
+    const NodeId peer = 1 - id();
+    std::size_t n = 0;
+    auto& q = medium_.inbox[id()];
+    while (!q.empty()) {
+      const std::vector<std::uint8_t> frame = std::move(q.front());
+      q.pop_front();
+      receive(peer, frame.data(), frame.size());
+      heard_from(peer);
+      flush_deferred_tx();
+      ++n;
+    }
+    return n;
+  }
+
+  std::size_t wire_flush() { return 0; }
+  void wire_idle() {}
+  std::uint64_t wire_clock_ns() const { return medium_.now_ns; }
+
+  FakeWire& medium_;
+  obs::Registry registry_;
+};
+
+class EngineLiveness : public ::testing::Test {
+ protected:
+  // 1 ms timeout, 3 retries: one budget is 1 + 2 + 4 + 8 = 15 ms.
+  static FmConfig config() {
+    FmConfig cfg;
+    cfg.reliability = true;
+    cfg.retransmit_timeout_ns = 1'000'000;
+    cfg.max_retries = 3;
+    return cfg;
+  }
+  // Every backoff deadline is a multiple of the step, so timers fire
+  // exactly on time and the fake clock adds no slack to the bounds below.
+  static constexpr std::uint64_t kStep = 125'000;
+
+  EngineLiveness() : a_(wire_, 0, config()), b_(wire_, 1, config()) {
+    auto noop = [](FakeEndpoint&, NodeId, const void*, std::size_t) {};
+    h_ = a_.register_handler(noop);
+    EXPECT_EQ(b_.register_handler(noop), h_);
+    wire_.drop_data_0_to_1 = true;
+  }
+
+  std::uint64_t horizon() const {
+    const FmConfig cfg = config();
+    return RetransmitTimer::detection_horizon_ns(cfg.retransmit_timeout_ns,
+                                                 cfg.max_retries);
+  }
+
+  // One tick of fake time: node 1 talks (when asked to) and services its
+  // endpoint, then node 0 services its own.
+  void step(bool b_talks) {
+    wire_.now_ns += kStep;
+    if (b_talks) {
+      ASSERT_TRUE(ok(b_.send4(0, h_, 1, 2, 3, 4)));
+      b_.extract();
+    }
+    a_.extract();
+  }
+
+  FakeWire wire_;
+  FakeEndpoint a_;
+  FakeEndpoint b_;
+  HandlerId h_ = 0;
+};
+
+TEST_F(EngineLiveness, PeerThatKeepsTalkingIsNeverDeclaredDead) {
+  // Node 0's one data frame never reaches node 1, so its retry budget runs
+  // out over and over — while node 1's own frames keep arriving.
+  ASSERT_TRUE(ok(a_.send4(1, h_, 9, 9, 9, 9)));
+  const std::uint64_t end = wire_.now_ns + 10 * horizon();
+  while (wire_.now_ns < end) step(/*b_talks=*/true);
+
+  const std::uint64_t budget = config().max_retries + 1;
+  EXPECT_GE(a_.stats().retransmit_timeouts, 8 * budget)
+      << "the retry budget should have run out many times";
+  EXPECT_EQ(a_.stats().peers_dead, 0u);
+  EXPECT_FALSE(a_.peer_dead(1));
+  EXPECT_EQ(a_.unacked(), 1u) << "the frame stays retained and re-armed";
+  EXPECT_EQ(b_.stats().messages_delivered, 0u);
+  EXPECT_GT(a_.stats().messages_delivered, 0u);
+  EXPECT_EQ(b_.stats().peers_dead, 0u);
+}
+
+TEST_F(EngineLiveness, SilentPeerIsDeclaredDeadWithinTwoHorizons) {
+  ASSERT_TRUE(ok(a_.send4(1, h_, 9, 9, 9, 9)));
+  // Chatter long enough that at least one budget ran out against the live
+  // peer and was re-armed instead of killing it.
+  const std::uint64_t chatter_end = wire_.now_ns + 3 * horizon();
+  while (wire_.now_ns < chatter_end) step(/*b_talks=*/true);
+  ASSERT_GT(a_.stats().retransmit_timeouts, config().max_retries + 1);
+  ASSERT_FALSE(a_.peer_dead(1));
+  const std::uint64_t last_heard = wire_.now_ns;
+  const std::uint64_t heard_frames = a_.stats().frames_received;
+
+  // Node 1 goes silent (a killed rank: it neither sends nor services).
+  while (!a_.peer_dead(1) && wire_.now_ns < last_heard + 4 * horizon())
+    step(/*b_talks=*/false);
+
+  ASSERT_EQ(a_.stats().frames_received, heard_frames)
+      << "node 1 must really have gone silent";
+  ASSERT_TRUE(a_.peer_dead(1)) << "a silent peer must be declared dead";
+  EXPECT_EQ(a_.stats().peers_dead, 1u);
+  EXPECT_LE(wire_.now_ns - last_heard, 2 * horizon())
+      << "detected " << (wire_.now_ns - last_heard) << " ns after silence; "
+      << "horizon " << horizon() << " ns";
+  // The purge released the frame and failed further sends fast.
+  EXPECT_EQ(a_.unacked(), 0u);
+  EXPECT_EQ(a_.stats().frames_discarded_dead, 1u);
+  EXPECT_EQ(a_.send4(1, h_, 0, 0, 0, 0), Status::kPeerDead);
+}
+
+}  // namespace
+}  // namespace fm

@@ -75,7 +75,14 @@ struct ShmBackend {
   static std::unique_ptr<Cluster> make(std::size_t nodes,
                                        FmConfig cfg = FmConfig(),
                                        hw::FaultParams faults = {}) {
-    return std::make_unique<Cluster>(nodes, adapt(cfg), 256, faults);
+    return make_as_is(nodes, adapt(cfg), faults);
+  }
+
+  /// make() without adapt(): `cfg` exactly as given, for tests whose point
+  /// is a setting adapt() would override (e.g. FM-R with CRC off).
+  static std::unique_ptr<Cluster> make_as_is(std::size_t nodes, FmConfig cfg,
+                                             hw::FaultParams faults = {}) {
+    return std::make_unique<Cluster>(nodes, cfg, 256, faults);
   }
 
   /// Runs `body` on every rank and asserts every rank finished cleanly.
@@ -106,11 +113,18 @@ struct NetBackend {
   static std::unique_ptr<Cluster> make(std::size_t nodes,
                                        FmConfig cfg = FmConfig(),
                                        hw::FaultParams faults = {}) {
+    return make_as_is(nodes, adapt(cfg), faults);
+  }
+
+  /// make() without adapt(): `cfg` exactly as given (the endpoint still
+  /// refuses a config without FM-R), e.g. FM-R with CRC off.
+  static std::unique_ptr<Cluster> make_as_is(std::size_t nodes, FmConfig cfg,
+                                             hw::FaultParams faults = {}) {
     net::NetConfig nc;
     // Tests must die well before ctest/CI timeouts so the failure artifact
     // is a RunReport, not a global hang.
     nc.run_timeout_ns = 60'000'000'000ull;
-    return std::make_unique<Cluster>(nodes, adapt(cfg), nc, faults);
+    return std::make_unique<Cluster>(nodes, cfg, nc, faults);
   }
 
   static RunReport run(Cluster& c,
