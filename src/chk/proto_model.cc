@@ -1,6 +1,8 @@
 #include "chk/proto_model.h"
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <set>
 #include <string>
 #include <utility>
@@ -8,49 +10,13 @@
 
 #include "common/check.h"
 #include "common/types.h"
+#include "fm/engine.h"
 #include "fm/frame.h"
 #include "fm/protocol.h"
+#include "obs/registry.h"
 
 namespace fm::chk {
 namespace {
-
-constexpr NodeId kSender = 0;
-constexpr NodeId kReceiver = 1;
-
-// Model frames carry their metadata through the SendWindow slab as 8 bytes
-// (msg_id u32, frag_index u16, frag_count u16), so a timer retransmission
-// re-sources the frame from the window exactly like the real endpoints do.
-constexpr std::size_t kSlotBytes = 8;
-
-struct Wire {
-  std::uint32_t msg_id = 0;
-  std::uint16_t frag_index = 0;
-  std::uint16_t frag_count = 1;
-};
-
-void encode_wire(const Wire& w, std::uint8_t* dst) {
-  std::memcpy(dst, &w.msg_id, 4);
-  std::memcpy(dst + 4, &w.frag_index, 2);
-  std::memcpy(dst + 6, &w.frag_count, 2);
-}
-
-Wire decode_wire(const std::uint8_t* src) {
-  Wire w;
-  std::memcpy(&w.msg_id, src, 4);
-  std::memcpy(&w.frag_index, src + 4, 2);
-  std::memcpy(&w.frag_count, src + 6, 2);
-  return w;
-}
-
-/// An in-flight model frame. kData/kReject carry (seq, wire); kAck carries
-/// the acked seqs.
-struct MFrame {
-  enum class Kind { kData, kAck, kReject };
-  Kind kind = Kind::kData;
-  std::uint32_t seq = 0;
-  Wire wire;
-  std::vector<std::uint32_t> acks;
-};
 
 // The adversary only ever distinguishes the first few in-flight frames:
 // delivering frame 0..kDeliverWindow-1 out of order covers reordering
@@ -60,363 +26,284 @@ constexpr std::size_t kDeliverWindow = 2;
 constexpr std::size_t kMaxAdversarialTicks = 2;
 // Fair-suffix rounds before the model declares the run stuck.
 constexpr std::size_t kFairRounds = 50;
+// Deliveries and extracts one settle() may take before it gives up.
+constexpr std::size_t kSettleSteps = 1000;
 
-class ProtoModel {
+using Bytes = std::vector<std::uint8_t>;
+
+/// What lies between the two engines: the in-flight frames the adversary
+/// controls, each rank's inbox of delivered frames, and the model clock.
+struct World {
+  struct InFlight {
+    NodeId dest = 0;
+    Bytes bytes;
+  };
+  Explorer& ex;
+  const ProtoParams& p;
+  std::vector<InFlight> net;
+  std::array<std::vector<Bytes>, 2> inbox;  // delivered, not yet extracted
+  std::uint64_t now = 1;                    // 0 reads as "never heard"
+};
+
+/// One rank: a real fm::Engine over the model wire. The adapter only moves
+/// frames between its engine and the world.
+class ModelRank : public Engine<ModelRank> {
+ public:
+  ModelRank(World& world, NodeId id)
+      : Engine(id, 2, world.p.cfg, hw::FaultParams(), scope(id)),
+        world_(world),
+        registry_(scope(id)) {
+    register_metrics(registry_);
+  }
+
+  /// True when the engine owes its peer acks (its own "acks.due" gauge).
+  bool owes_acks() {
+    registry_.assert_owner();
+    for (const obs::Sample& s : registry_.snapshot())
+      if (s.name == registry_.scope() + ".acks.due") return s.value > 0;
+    return false;
+  }
+
+ private:
+  friend class Engine<ModelRank>;
+  // The model wire drops and duplicates frames, so it is not lossless. It
+  // never corrupts them: the final checks fail any malformed frame.
+  static constexpr bool kLosslessWire = false;
+
+  static std::string scope(NodeId id) {
+    return "chk.rank" + std::to_string(id);
+  }
+
+  WireStatus wire_push(NodeId dest, const std::uint8_t* frame,
+                       std::size_t len) {
+    const auto h = decode_header(frame, len);
+    // With an audible peer the adversary owns only rank 0's data frames;
+    // everything else reaches its destination's next extract untouched.
+    if (world_.p.audible_peer &&
+        !(id() == 0 && h.has_value() && h->type == FrameType::kData))
+      world_.inbox[dest].emplace_back(frame, frame + len);
+    else
+      world_.net.push_back({dest, Bytes(frame, frame + len)});
+    return WireStatus::kSent;
+  }
+
+  std::size_t wire_receive() {
+    const std::vector<Bytes> frames = std::exchange(world_.inbox[id()], {});
+    for (const Bytes& f : frames) {
+      receive(1 - id(), f.data(), f.size());
+      flush_deferred_tx();
+    }
+    if (!frames.empty()) heard_from(1 - id());
+    return frames.size();
+  }
+
+  std::size_t wire_flush() { return 0; }
+
+  // Nothing else runs while an engine waits, so it would wait forever:
+  // the model only calls what cannot block.
+  void wire_idle() {
+    world_.ex.fail("rank " + std::to_string(id()) + " waited in the model");
+  }
+
+  std::uint64_t wire_clock_ns() const { return world_.now; }
+
+  World& world_;
+  obs::Registry registry_;
+};
+
+/// The world, the two ranks in it, and the oracle over them.
+class ProtoModel : World {
  public:
   ProtoModel(Explorer& ex, const ProtoParams& p)
-      : ex_(ex),
-        p_(p),
-        window_(p.window, kSlotBytes),
-        timer_(p.timeout_ns, p.max_retries),
-        reasm_(p.reasm_slots),
-        faults_left_(p.fault_budget) {}
+      : World{ex, p, {}, {}},
+        faults_left_(p.fault_budget),
+        rank0_(*this, 0),
+        rank1_(*this, 1) {
+    auto handler = [this](ModelRank&, NodeId src, const void* data,
+                          std::size_t len) { on_deliver(src, data, len); };
+    handler_ = rank0_.register_handler(handler);
+    FM_CHECK(rank1_.register_handler(handler) == handler_);
+  }
 
   ProtoStats run() {
     adversarial_prefix();
     fair_suffix();
     final_checks();
-    return stats_;
+    return {rank0_.stats(), rank1_.stats()};
   }
 
  private:
-  // ---- sender side -------------------------------------------------------
+  ModelRank& rank(NodeId r) { return r == 0 ? rank0_ : rank1_; }
+  bool live(NodeId r) const { return r == 0 || !p.kill_node1; }
 
-  bool all_injected() const {
-    return next_msg_ >= p_.msgs;
+  // ---- the oracle --------------------------------------------------------
+
+  void on_deliver(NodeId src, const void* data, std::size_t len) {
+    std::uint32_t id = 0;
+    std::memcpy(&id, data, std::min(len, sizeof id));
+    ex.check(delivered_.insert((std::uint64_t{src} << 32) | id).second,
+             "exactly-once violated: message delivered twice");
   }
 
-  bool can_inject() const {
-    return !dead_ && !all_injected() && !window_.full();
+  // ---- the world ---------------------------------------------------------
+
+  bool can_send(NodeId r) {
+    return (r == 0 || p.both_send) && next_msg_[r] < p.msgs &&
+           !rank(r).peer_dead(1 - r) &&
+           rank(r).unacked() + p.frags <= p.cfg.pending_window;
   }
 
-  void inject_next() {
-    FM_CHECK(can_inject());
-    const std::uint32_t seq = window_.next_seq(kReceiver);
-    Wire w;
-    w.msg_id = next_msg_;
-    w.frag_index = next_frag_;
-    w.frag_count = p_.frags;
-    std::uint8_t buf[kSlotBytes];
-    encode_wire(w, buf);
-    window_.track(kReceiver, seq, buf, kSlotBytes);
-    timer_.arm(kReceiver, seq, now_);
-    push_data(seq, w);
-    ++stats_.sent_frames;
-    if (++next_frag_ >= p_.frags) {
-      next_frag_ = 0;
-      ++next_msg_;
-    }
+  // A message is `frags` full frames, each word its id.
+  void send_next(NodeId r) {
+    const std::vector<std::uint32_t> words(
+        p.frags * p.cfg.frame_payload / sizeof(std::uint32_t), next_msg_[r]++);
+    ex.check(ok(rank(r).send(1 - r, handler_, words.data(),
+                             words.size() * sizeof(std::uint32_t))),
+             "send refused");
   }
 
-  void push_data(std::uint32_t seq, const Wire& w) {
-    MFrame f;
-    f.kind = MFrame::Kind::kData;
-    f.seq = seq;
-    f.wire = w;
-    net_.push_back(std::move(f));
+  // drain() returns at once only with nothing in flight; otherwise it
+  // would wait for acks, which inside the model is a bug.
+  bool can_drain(NodeId r) {
+    return live(r) && rank(r).unacked() == 0 &&
+           rank(r).reject_queue_depth() == 0 && rank(r).owes_acks();
   }
-
-  void handle_ack_frame(const MFrame& f) {
-    for (std::uint32_t seq : f.acks) {
-      // A re-ack of an already-retired seq returns false — harmless, and
-      // exactly why resolved_acked only counts the true returns.
-      if (window_.ack(kReceiver, seq)) ++stats_.resolved_acked;
-      timer_.disarm(kReceiver, seq);
-    }
-  }
-
-  void handle_reject_frame(const MFrame& f) {
-    const SendWindow::Stored st = window_.find(kReceiver, f.seq);
-    // A stale reject (the frame was meanwhile acked via a duplicate, or
-    // abandoned) has nothing to bounce.
-    if (st.data == nullptr) return;
-    std::vector<std::uint8_t> bytes(st.data, st.data + st.len);
-    window_.bounce(kReceiver, f.seq);
-    timer_.disarm(kReceiver, f.seq);
-    rejq_.add(kReceiver, f.seq, std::move(bytes));
-  }
-
-  void reinject_ready() {
-    for (RejectQueue::Entry& e : rejq_.tick(p_.reject_delay)) {
-      if (dead_) {
-        // Dead-peer cleanup raced the tick; the frame is already counted
-        // abandoned only if drop_dest saw it, so count the straggler here.
-        ++stats_.abandoned;
-        continue;
-      }
-      if (window_.full()) {
-        // No slot yet — park it again (age restarts; the fair suffix keeps
-        // ticking until acks free a slot).
-        rejq_.add(e.dest, e.seq, std::move(e.bytes));
-        continue;
-      }
-      window_.track(e.dest, e.seq, e.bytes.data(), e.bytes.size());
-      timer_.arm(e.dest, e.seq, now_);
-      push_data(e.seq, decode_wire(e.bytes.data()));
-    }
-  }
-
-  void advance_time_and_expire() {
-    // Past the capped backoff (timeout << 6), so every armed deadline fires.
-    now_ += p_.timeout_ns << 7;
-    std::vector<RetransmitTimer::Due> due;
-    timer_.expired_into(now_, due);
-    for (const RetransmitTimer::Due& d : due) {
-      if (d.exhausted) {
-        declare_dead();
-        continue;
-      }
-      const SendWindow::Stored st = window_.find(d.dest, d.seq);
-      if (st.data == nullptr) continue;  // retired while the expiry batched
-      push_data(d.seq, decode_wire(st.data));
-      ++stats_.retransmits;
-    }
-  }
-
-  void declare_dead() {
-    if (dead_) return;
-    dead_ = true;
-    stats_.dead_declared = true;
-    stats_.abandoned +=
-        static_cast<std::uint32_t>(window_.drop_dest(kReceiver));
-    timer_.disarm_all(kReceiver);
-    stats_.abandoned += static_cast<std::uint32_t>(rejq_.drop_dest(kReceiver));
-  }
-
-  // ---- receiver side -----------------------------------------------------
-
-  void receiver_process(const MFrame& f) {
-    if (p_.kill_node1) return;  // a dead rank processes nothing
-    if (dedup_.seen(kSender, f.seq)) {
-      // Duplicate of an accepted frame: re-ack so the sender's timer stops,
-      // never re-deliver.
-      acks_.note(kSender, f.seq);
-      return;
-    }
-    if (p_.frags <= 1) {
-      accept_frame(f.seq);
-      deliver_msg(f.wire.msg_id);
-      return;
-    }
-    FrameHeader h;
-    h.type = FrameType::kData;
-    h.src = kSender;
-    h.seq = f.seq;
-    h.payload_len = kSlotBytes;
-    h.flags = FrameHeader::kFlagFragmented;
-    h.msg_id = f.wire.msg_id;
-    h.frag_index = f.wire.frag_index;
-    h.frag_count = f.wire.frag_count;
-    std::uint8_t payload[kSlotBytes];
-    encode_wire(f.wire, payload);
-    std::vector<std::uint8_t> out;
-    switch (reasm_.feed(kSender, h, payload, &out, now_)) {
-      case Reassembler::Feed::kAccepted:
-        accept_frame(f.seq);
-        break;
-      case Reassembler::Feed::kComplete:
-        accept_frame(f.seq);
-        deliver_msg(f.wire.msg_id);
-        break;
-      case Reassembler::Feed::kRejected: {
-        ++stats_.rejected_frames;
-        MFrame r;
-        r.kind = MFrame::Kind::kReject;
-        r.seq = f.seq;
-        r.wire = f.wire;
-        net_.push_back(std::move(r));
-        break;
-      }
-      case Reassembler::Feed::kMalformed:
-        ex_.fail("reassembler saw malformed metadata on an uncorrupted wire");
-    }
-  }
-
-  void accept_frame(std::uint32_t seq) {
-    // The reference set is the oracle the DedupFilter is checked against:
-    // if the filter ever lets a seq through twice, this insert fails.
-    ex_.check(accepted_seqs_.insert(seq).second,
-              "exactly-once violated: frame accepted twice");
-    dedup_.mark(kSender, seq);
-    acks_.note(kSender, seq);
-  }
-
-  void deliver_msg(std::uint32_t msg_id) {
-    ex_.check(delivered_ids_.insert(msg_id).second,
-              "exactly-once violated: message delivered twice");
-    ++stats_.delivered_msgs;
-  }
-
-  void flush_acks() {
-    while (acks_.due(kSender) > 0) {
-      MFrame f;
-      f.kind = MFrame::Kind::kAck;
-      f.acks.resize(4);
-      f.acks.resize(acks_.take_into(kSender, 4, f.acks.data()));
-      net_.push_back(std::move(f));
-    }
-  }
-
-  // ---- network -----------------------------------------------------------
 
   void deliver(std::size_t i) {
-    FM_CHECK(i < net_.size());
-    MFrame f = std::move(net_[i]);
-    net_.erase(net_.begin() + static_cast<long>(i));
-    switch (f.kind) {
-      case MFrame::Kind::kData:
-        receiver_process(f);
-        break;
-      case MFrame::Kind::kAck:
-        handle_ack_frame(f);
-        break;
-      case MFrame::Kind::kReject:
-        handle_reject_frame(f);
-        break;
-    }
+    InFlight f = std::move(net[i]);
+    net.erase(net.begin() + static_cast<long>(i));
+    if (!live(f.dest)) return;  // a dead rank processes nothing
+    inbox[f.dest].push_back(std::move(f.bytes));
+    rank(f.dest).extract();
   }
 
-  // ---- schedule ----------------------------------------------------------
-
-  enum class Act : std::uint8_t {
-    kInject,
-    kDeliver0,
-    kDeliver1,
-    kDrop,
-    kDup,
-    kFlushAcks,
-    kTick,
-    kRejectTick,
-  };
+  // One tick is one detection horizon: every armed deadline passes, and a
+  // peer not heard from since the last tick has been silent a full horizon.
+  void tick() {
+    ++ticks_;
+    now += RetransmitTimer::detection_horizon_ns(p.cfg.retransmit_timeout_ns,
+                                                 p.cfg.max_retries);
+    // An audible peer speaks first, so rank 0 hears it in the very extract
+    // whose timer tick may run a retry budget out against it.
+    if (p.audible_peer && rank0_.unacked() > 0 &&
+        rank1_.unacked() < p.cfg.pending_window)
+      send_next(1);
+    for (NodeId r = 0; r < 2; ++r)
+      if (live(r)) rank(r).extract();
+  }
 
   void adversarial_prefix() {
-    static_assert(kDeliverWindow == 2, "action list hardcodes the window");
-    std::size_t ticks = 0;
-    for (std::size_t step = 0; step < p_.depth; ++step) {
-      std::vector<Act> acts;
-      if (can_inject()) acts.push_back(Act::kInject);
-      if (!net_.empty()) acts.push_back(Act::kDeliver0);
-      if (net_.size() > 1) acts.push_back(Act::kDeliver1);
-      if (faults_left_ > 0 && !net_.empty()) {
-        acts.push_back(Act::kDrop);
-        acts.push_back(Act::kDup);
-      }
-      if (!p_.kill_node1 && acks_.due(kSender) > 0)
-        acts.push_back(Act::kFlushAcks);
-      if (ticks < kMaxAdversarialTicks && timer_.armed() > 0)
-        acts.push_back(Act::kTick);
-      if (rejq_.size() > 0) acts.push_back(Act::kRejectTick);
-      if (acts.empty()) break;
-      switch (acts[ex_.choose(acts.size())]) {
-        case Act::kInject:
-          inject_next();
-          break;
-        case Act::kDeliver0:
-          deliver(0);
-          break;
-        case Act::kDeliver1:
-          deliver(1);
-          break;
-        case Act::kDrop:
+    for (std::size_t step = 0; step < p.depth; ++step) {
+      std::vector<std::function<void()>> moves;
+      for (NodeId r = 0; r < 2; ++r)
+        if (can_send(r)) moves.push_back([this, r] { send_next(r); });
+      for (std::size_t i = 0; i < std::min(net.size(), kDeliverWindow); ++i)
+        moves.push_back([this, i] { deliver(i); });
+      if (faults_left_ > 0 && !net.empty()) {
+        moves.push_back([this] {  // drop
           --faults_left_;
-          net_.erase(net_.begin());
-          break;
-        case Act::kDup:
+          net.erase(net.begin());
+        });
+        moves.push_back([this] {  // duplicate
           --faults_left_;
-          net_.push_back(net_.front());
-          break;
-        case Act::kFlushAcks:
-          flush_acks();
-          break;
-        case Act::kTick:
-          ++ticks;
-          advance_time_and_expire();
-          break;
-        case Act::kRejectTick:
-          reinject_ready();
-          break;
+          net.push_back(net.front());
+        });
       }
+      for (NodeId r = 0; r < 2; ++r)
+        if (can_drain(r)) moves.push_back([this, r] { rank(r).drain(); });
+      if (ticks_ < kMaxAdversarialTicks &&
+          rank0_.unacked() + rank1_.unacked() > 0)
+        moves.push_back([this] { tick(); });
+      // An extract with no new arrival still re-injects parked rejects.
+      for (NodeId r = 0; r < 2; ++r)
+        if (live(r) && (!inbox[r].empty() || rank(r).reject_queue_depth() > 0))
+          moves.push_back([this, r] { rank(r).extract(); });
+      if (moves.empty()) break;
+      moves[ex.choose(moves.size())]();
     }
   }
 
-  bool quiescent() const {
-    return (all_injected() || dead_) && net_.empty() && rejq_.size() == 0 &&
-           acks_.due(kSender) == 0 && timer_.armed() == 0 &&
-           window_.in_flight() == 0;
+  // Delivers every in-flight frame in order, lets each rank process what
+  // reached it and drains owed acks, until the wire is quiet.
+  void settle() {
+    for (std::size_t step = 0; step < kSettleSteps; ++step) {
+      if (!net.empty()) {
+        deliver(0);
+        continue;
+      }
+      bool acted = false;
+      for (NodeId r = 0; r < 2; ++r) {
+        if (live(r) && !inbox[r].empty()) {
+          rank(r).extract();
+          acted = true;
+        } else if (can_drain(r)) {
+          rank(r).drain();
+          acted = true;
+        }
+      }
+      if (!acted) return;
+    }
+    ex.fail("fair phase never settled: frames keep flowing");
+  }
+
+  bool quiescent() {
+    if (!net.empty()) return false;
+    for (NodeId r = 0; r < 2; ++r)
+      if (live(r) && (!inbox[r].empty() || rank(r).unacked() > 0 ||
+                      rank(r).reject_queue_depth() > 0 || can_send(r)))
+        return false;
+    return true;
   }
 
   void fair_suffix() {
-    for (std::size_t round = 0; round < kFairRounds; ++round) {
-      if (quiescent()) return;
-      while (can_inject()) inject_next();
-      while (!net_.empty()) deliver(0);
-      flush_acks();
-      while (!net_.empty()) deliver(0);
-      reinject_ready();
-      advance_time_and_expire();
-      while (!net_.empty()) deliver(0);
-      flush_acks();
-      while (!net_.empty()) deliver(0);
+    for (std::size_t round = 0; round < kFairRounds && !quiescent(); ++round) {
+      for (NodeId r = 0; r < 2; ++r)
+        while (can_send(r)) send_next(r);
+      settle();
+      tick();  // every rank extracts: parked rejects re-inject, timers fire
+      settle();
     }
-    if (!quiescent()) {
-      ex_.fail(std::string("no quiescence within fair-phase bound: ") +
-               "net=" + std::to_string(net_.size()) +
-               " window=" + std::to_string(window_.in_flight()) +
-               " rejq=" + std::to_string(rejq_.size()) +
-               " timers=" + std::to_string(timer_.armed()) +
-               " acks_due=" + std::to_string(acks_.due(kSender)));
-    }
+    ex.check(quiescent(), "no quiescence within fair-phase bound");
   }
 
   void final_checks() {
-    ex_.check(stats_.sent_frames ==
-                  stats_.resolved_acked + stats_.abandoned,
-              "conservation violated: sent != resolved_acked + abandoned");
-    if (p_.kill_node1) {
-      ex_.check(stats_.delivered_msgs == 0,
-                "dead receiver delivered a message");
-      ex_.check(stats_.resolved_acked == 0, "dead receiver produced an ack");
-      ex_.check(stats_.dead_declared || stats_.sent_frames == 0,
-                "silent peer never declared dead");
-      ex_.check(stats_.sent_frames == stats_.abandoned,
-                "dead-peer convergence: some frames never abandoned");
-    } else {
-      ex_.check(stats_.delivered_msgs == p_.msgs,
-                "liveness violated: message lost despite live receiver");
-      ex_.check(!stats_.dead_declared, "live receiver declared dead");
+    obs::Conservation c;
+    for (NodeId r = 0; r < 2; ++r) {
+      ex.check(rank(r).stats().malformed_frames == 0,
+               "malformed frame on a wire that never corrupts");
+      c.add(rank(r).stats());
+    }
+    // Strict balance needs every peer alive (see obs::Conservation).
+    ex.check(c.peers_dead == 0 ? c.balanced() : c.no_spontaneous_messages(),
+             "conservation violated: sent vs delivered + abandoned");
+    const obs::EndpointCounters& s0 = rank0_.stats();
+    if (p.kill_node1) {
+      ex.check(delivered_.empty(), "dead receiver delivered a message");
+      ex.check(s0.frames_received == 0, "dead receiver produced an ack");
+      ex.check(s0.peers_dead == 1 || s0.frames_sent == 0,
+               "silent peer never declared dead");
+      ex.check(s0.frames_discarded_dead == s0.frames_sent,
+               "dead-peer convergence: some frames never purged");
+    } else if (!p.both_send) {
+      ex.check(c.peers_dead == 0, "live peer declared dead");
+      ex.check(rank1_.stats().messages_delivered == p.msgs,
+               "liveness violated: message lost despite live receiver");
     }
   }
 
-  Explorer& ex_;
-  const ProtoParams& p_;
-
-  // Sender (node 0).
-  SendWindow window_;
-  RetransmitTimer timer_;
-  RejectQueue rejq_;
-  std::uint32_t next_msg_ = 0;
-  std::uint16_t next_frag_ = 0;
-  bool dead_ = false;
-
-  // Receiver (node 1).
-  DedupFilter dedup_;
-  AckTracker acks_;
-  Reassembler reasm_;
-  std::set<std::uint32_t> accepted_seqs_;   // oracle for the DedupFilter
-  std::set<std::uint32_t> delivered_ids_;   // oracle for exactly-once
-
-  // World.
-  std::vector<MFrame> net_;
-  std::uint64_t now_ = 0;
   std::size_t faults_left_;
-  ProtoStats stats_;
+  std::size_t ticks_ = 0;
+  std::array<std::uint32_t, 2> next_msg_{};
+  std::set<std::uint64_t> delivered_;  // oracle: (src << 32) | message id
+  ModelRank rank0_;
+  ModelRank rank1_;
+  HandlerId handler_ = 0;
 };
 
 }  // namespace
 
 ProtoStats run_proto_model(Explorer& ex, const ProtoParams& p) {
-  ProtoModel m(ex, p);
-  return m.run();
+  return ProtoModel(ex, p).run();
 }
 
 }  // namespace fm::chk

@@ -11,8 +11,10 @@
 // A backend contributes only a *wire adapter*: the class that derives from
 // Engine<Adapter> (CRTP) and moves frames, holding no protocol logic.
 // shm::Endpoint (SPSC rings) and net::Endpoint (UDP socket + FM-Burst
-// staging ring) are the two adapters; tests/fm/engine_test.cc drives a
-// third, in-memory one with a hand-advanced clock. The engine reaches the
+// staging ring) are the two production adapters; tests/fm/engine_test.cc
+// drives an in-memory one with a hand-advanced clock, and FM-Check's
+// protocol explorer (src/chk/proto_model.cc) one whose every delivery,
+// drop and clock step is an explored choice. The engine reaches the
 // adapter through static_cast, so the per-frame path has no indirect call.
 // The adapter provides, privately (with Engine<Adapter> a friend):
 //
@@ -847,6 +849,13 @@ template <class Wire>
 void Engine<Wire>::process_frame(NodeId from, const std::uint8_t* data,
                                  std::size_t len) {
   trace_.assert_writer();  // single-threaded endpoint: we are the writer
+  // A dead verdict is final for the peer's incoming frames too: the purge
+  // forgot its dedup state, so a retransmission that was still in the
+  // network would be delivered a second time.
+  if (dead_[from] != 0) {
+    ++stats_.frames_discarded_dead;
+    return;
+  }
   auto hdr = decode_header(data, len);
   if (!hdr.has_value()) {
     // Only wire garbage can fail to decode: weather on a lossy wire or

@@ -383,6 +383,12 @@ sim::Op<> SimEndpoint::process_frame(hw::Packet pkt) {
   trace_.assert_writer();  // one simulator thread drives every coroutine
   auto& cpu = node_.cpu();
   const auto& hc = node_.params().hostsw;
+  // A dead verdict is final for the peer's incoming frames too: the purge
+  // forgot its dedup state, so a late retransmission would be redelivered.
+  if (peer_dead(pkt.src)) {
+    ++stats_.frames_discarded_dead;
+    co_return;
+  }
   auto hdr = decode_header(pkt.bytes.data(), pkt.bytes.size());
   if (!hdr.has_value()) {
     // Wire garbage (only possible with fault injection): FM has no

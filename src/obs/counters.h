@@ -34,8 +34,10 @@ struct EndpointCounters {
   // Conservation accounting (see Conservation below).
   std::uint64_t messages_abandoned = 0;   ///< Sends that failed at a dead peer
                                           ///< after being counted sent.
-  std::uint64_t frames_discarded_dead = 0;///< Window/reject frames purged when
-                                          ///< a peer was declared dead.
+  std::uint64_t frames_discarded_dead = 0;///< Frames dropped for a dead peer:
+                                          ///< window/reject frames purged at
+                                          ///< the verdict, and its frames
+                                          ///< received after it.
 
   /// Registers every field as a named counter in `r`. The counters struct
   /// must outlive the registry (declare the Registry after it).

@@ -1,7 +1,9 @@
 // Exhaustive protocol-state-space exploration: every fault schedule the
-// bounded 2-rank model admits (chk/proto_model.h), with the four FM-R
-// invariants — exactly-once, sent == resolved + abandoned conservation,
-// quiescence, dead-peer convergence — checked on every path.
+// bounded 2-rank model admits (chk/proto_model.h), two real fm::Engines
+// over a model wire, with the FM-R invariants — exactly-once, sent ==
+// delivered + abandoned conservation, quiescence, dead-peer convergence,
+// congestion-is-not-death — checked on every path.
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -18,13 +20,17 @@ struct Aggregate {
   std::uint64_t retransmits = 0;
   std::uint64_t abandoned = 0;
   std::uint64_t dead_paths = 0;
+  std::uint64_t max_timeouts = 0;  // most timer firings one rank took
 
   void add(const ProtoStats& s) {
-    delivered += s.delivered_msgs;
-    rejected += s.rejected_frames;
-    retransmits += s.retransmits;
-    abandoned += s.abandoned;
-    dead_paths += s.dead_declared ? 1 : 0;
+    for (const obs::EndpointCounters& c : s) {
+      delivered += c.messages_delivered;
+      rejected += c.rejects_issued;
+      retransmits += c.retransmit_timeouts;
+      abandoned += c.frames_discarded_dead;
+      max_timeouts = std::max(max_timeouts, c.retransmit_timeouts);
+    }
+    dead_paths += s[0].peers_dead + s[1].peers_dead > 0 ? 1 : 0;
   }
 };
 
@@ -32,8 +38,8 @@ Explorer::Result enumerate(const char* name, const ProtoParams& p,
                            Aggregate* agg) {
   Explorer::Options opts;
   opts.name = name;
-  const Explorer::Result res =
-      Explorer::run_all(opts, [&](Explorer& ex) { agg->add(run_proto_model(ex, p)); });
+  const Explorer::Result res = Explorer::run_all(
+      opts, [&](Explorer& ex) { agg->add(run_proto_model(ex, p)); });
   std::printf("[fm-chk] %s: explored %llu schedules\n", name,
               static_cast<unsigned long long>(res.paths_explored));
   return res;
@@ -59,7 +65,7 @@ TEST(ChkProto, TwoMessagesWindowPressure) {
   ProtoParams p;
   p.msgs = 2;
   p.frags = 1;
-  p.window = 2;
+  p.cfg.pending_window = 2;
   p.fault_budget = 1;
   p.depth = 5;
   Aggregate agg;
@@ -78,8 +84,8 @@ TEST(ChkProto, FragmentedRejectPath) {
   ProtoParams p;
   p.msgs = 2;
   p.frags = 2;
-  p.window = 4;
-  p.reasm_slots = 1;
+  p.cfg.pending_window = 4;
+  p.cfg.reassembly_slots = 1;
   p.fault_budget = 0;  // rejections come from slot pressure, not faults
   p.depth = 6;
   Aggregate agg;
@@ -107,6 +113,44 @@ TEST(ChkProto, DeadPeerConvergence) {
   EXPECT_EQ(agg.delivered, 0u);
   EXPECT_GT(agg.dead_paths, 0u);
   EXPECT_GT(agg.abandoned, 0u);
+}
+
+TEST(ChkProto, BothWaysStayExactlyOnceAcrossDeadVerdicts) {
+  // Both ranks send, and the adversary may hold any frame across enough
+  // ticks to run a retry budget out, so either side may declare the other
+  // dead. A dead verdict forgets the peer's dedup state: a retransmission
+  // released after it must be discarded, not delivered a second time.
+  ProtoParams p;
+  p.cfg.max_retries = 1;
+  p.both_send = true;
+  p.msgs = 1;
+  p.fault_budget = 1;
+  p.depth = 6;
+  Aggregate agg;
+  const Explorer::Result res = enumerate("proto-both-ways", p, &agg);
+  EXPECT_FALSE(res.violation) << res.message << "\n  replay: " << res.schedule;
+  EXPECT_GT(res.paths_explored, 1u);
+  EXPECT_GT(agg.dead_paths, 0u) << "no explored schedule declared a peer dead";
+  EXPECT_GT(agg.delivered, 0u);
+}
+
+TEST(ChkProto, AudiblePeerIsNeverDeclaredDead) {
+  // The alive-grace rule: rank 1 talks on every tick while rank 0 has
+  // frames in flight, and the adversary may lose or hold every one of rank
+  // 0's data frames for a whole retry budget. Running the budget out
+  // against a peer heard this horizon is congestion: re-arm, not death.
+  ProtoParams p;
+  p.cfg.max_retries = 1;
+  p.audible_peer = true;
+  p.fault_budget = p.cfg.max_retries + 1;
+  p.depth = 6;
+  Aggregate agg;
+  const Explorer::Result res = enumerate("proto-audible-peer", p, &agg);
+  EXPECT_FALSE(res.violation) << res.message << "\n  replay: " << res.schedule;
+  EXPECT_GT(res.paths_explored, 1u);
+  EXPECT_GT(agg.max_timeouts, p.cfg.max_retries)
+      << "no explored schedule ran a retry budget out against rank 1";
+  EXPECT_EQ(agg.dead_paths, 0u);
 }
 
 }  // namespace

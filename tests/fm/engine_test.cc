@@ -9,13 +9,16 @@
 //
 // The rule (docs/PROTOCOL.md §7): a frame whose retry budget runs out
 // against a peer heard from within one detection horizon is re-armed, and
-// the peer is not declared dead; only a horizon of silence kills it.
+// the peer is not declared dead; only a horizon of silence kills it. Once
+// it is dead, the verdict is final: frames still arriving from it are
+// discarded, never delivered a second time.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fm/engine.h"
@@ -32,6 +35,16 @@ struct FakeWire {
   /// When set, every data frame node 0 sends to node 1 is lost. Acks and
   /// node 1's own traffic still flow, so node 1 stays audibly alive.
   bool drop_data_0_to_1 = false;
+  /// When set, every frame is held in the network instead of arriving;
+  /// release() stops holding and lets the held frames through.
+  bool hold = false;
+  std::vector<std::pair<NodeId, std::vector<std::uint8_t>>> held;
+
+  void release() {
+    hold = false;
+    for (auto& [dest, frame] : held) inbox[dest].push_back(std::move(frame));
+    held.clear();
+  }
 };
 
 class FakeEndpoint : public Engine<FakeEndpoint> {
@@ -58,7 +71,11 @@ class FakeEndpoint : public Engine<FakeEndpoint> {
     if (medium_.drop_data_0_to_1 && id() == 0 && dest == 1 &&
         hdr.has_value() && hdr->type == FrameType::kData)
       return WireStatus::kSent;  // the wire ate it
-    medium_.inbox[dest].emplace_back(frame, frame + len);
+    if (medium_.hold)
+      medium_.held.emplace_back(dest,
+                                std::vector<std::uint8_t>(frame, frame + len));
+    else
+      medium_.inbox[dest].emplace_back(frame, frame + len);
     return WireStatus::kSent;
   }
 
@@ -173,6 +190,38 @@ TEST_F(EngineLiveness, SilentPeerIsDeclaredDeadWithinTwoHorizons) {
   EXPECT_EQ(a_.unacked(), 0u);
   EXPECT_EQ(a_.stats().frames_discarded_dead, 1u);
   EXPECT_EQ(a_.send4(1, h_, 0, 0, 0, 0), Status::kPeerDead);
+}
+
+TEST_F(EngineLiveness, FramesFromAPeerDeclaredDeadAreDiscarded) {
+  // Both nodes send, and node 1 delivers node 0's message. Then the
+  // network holds every frame — retransmissions included — until each
+  // node has declared the other dead, and finally lets them all through.
+  // The verdict purged node 0's dedup state at node 1, so a retransmission
+  // of the delivered message must be discarded, not delivered again.
+  wire_.drop_data_0_to_1 = false;
+  ASSERT_TRUE(ok(a_.send4(1, h_, 9, 9, 9, 9)));
+  wire_.hold = true;
+  ASSERT_TRUE(ok(b_.send4(0, h_, 7, 7, 7, 7)));
+  b_.extract();
+  ASSERT_EQ(b_.stats().messages_delivered, 1u);
+
+  const std::uint64_t end = wire_.now_ns + 4 * horizon();
+  while (!(a_.peer_dead(1) && b_.peer_dead(0)) && wire_.now_ns < end) {
+    step(/*b_talks=*/false);
+    b_.extract();
+  }
+  ASSERT_TRUE(a_.peer_dead(1));
+  ASSERT_TRUE(b_.peer_dead(0));
+  ASSERT_GT(a_.stats().retransmit_timeouts, 0u);
+
+  wire_.release();
+  const std::uint64_t discarded = b_.stats().frames_discarded_dead;
+  a_.extract();
+  b_.extract();
+  EXPECT_EQ(b_.stats().messages_delivered, 1u)
+      << "a retransmission from a peer declared dead was delivered again";
+  EXPECT_GT(b_.stats().frames_discarded_dead, discarded);
+  EXPECT_EQ(a_.stats().messages_delivered, 0u);
 }
 
 }  // namespace

@@ -35,7 +35,8 @@ TEST(Registry, GaugesSampleLazily) {
   Registry r("q");
   r.gauge("depth", [&] { return static_cast<double>(depth); });
   depth = 7;
-  const Sample* s = find(r.snapshot(), "q.depth");
+  auto snap = r.snapshot();
+  const Sample* s = find(snap, "q.depth");
   ASSERT_NE(s, nullptr);
   EXPECT_DOUBLE_EQ(s->value, 7.0);
   EXPECT_FALSE(s->monotonic);
