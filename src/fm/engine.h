@@ -1,33 +1,38 @@
-// fm::Engine — the one copy of the FM protocol the real backends run.
+// fm::Engine — the one copy of the FM protocol every backend runs.
 //
 // Return-to-sender flow control with piggybacked acks (§4.5), segmentation
 // and reassembly, posted sends, and the opt-in FM-R reliability layer are
-// one protocol. This class runs it: the send path with its window and
-// credit gate, the blocked-send and backpressure loops, frame processing,
-// rejects, standalone and duplicate acks, the FM-R timer tick with its
-// congestion-vs-death rule and dead-peer purge, fault injection, and the
-// shared counters, gauges and trace events.
+// one protocol, run in two parts. A nonblocking core never waits: the
+// per-frame send step (a shut window or credit gate is Status::kAgain),
+// frame processing, rejects, the service pass (reject retries, standalone
+// and duplicate acks, the FM-R tick with its congestion-vs-death rule and
+// dead-peer purge, the reassembly TTL), the posted queue, fault injection
+// and the shared counters, gauges and trace events. A blocking driver (the
+// public send/extract/drain: the blocked-send wait, the backpressure loop,
+// drain, the posted-send drain, extract_until, idle_pause) sequences the
+// core and waits through the wire's idle primitive.
 //
-// A backend contributes only a *wire adapter*: the class that derives from
-// Engine<Adapter> (CRTP) and moves frames, holding no protocol logic.
-// shm::Endpoint (SPSC rings) and net::Endpoint (UDP socket + FM-Burst
-// staging ring) are the two production adapters; tests/fm/engine_test.cc
-// drives an in-memory one with a hand-advanced clock, and FM-Check's
-// protocol explorer (src/chk/proto_model.cc) one whose every delivery,
-// drop and clock step is an explored choice. The engine reaches the
-// adapter through static_cast, so the per-frame path has no indirect call.
-// The adapter provides, privately (with Engine<Adapter> a friend):
+// A backend contributes only a *wire adapter* (CRTP, so the per-frame path
+// has no indirect call) that moves frames and holds no protocol logic:
+// shm::Endpoint (SPSC rings), net::Endpoint (UDP + FM-Burst staging), the
+// in-memory wire of tests/fm/engine_test.cc, FM-Check's model wire
+// (src/chk/proto_model.cc), and fm::SimEndpoint, the simulated testbed of
+// the paper's figures, which drives the core from coroutines because
+// simulated time is waited for with co_await. The adapter provides,
+// privately (with Engine<Adapter> a friend):
 //
 //   static constexpr bool kLosslessWire;  // no organic loss or garbage
 //   WireStatus wire_push(NodeId dest, const std::uint8_t* frame,
 //                        std::size_t len);  // one frame; never blocks
+//   std::uint64_t wire_clock_ns();  // monotonic nanoseconds
+//   obs::Registry registry_;     // declared last (see registry())
+//   // For the blocking driver (a wire without wire_idle() never answers
+//   // kFull, and no blocking loop is built for it):
 //   std::size_t wire_receive();  // feeds arrivals through receive();
 //                                // returns frames from known peers
 //   std::size_t wire_flush();    // sends staged frames; returns how many
 //                                // are still staged
 //   void wire_idle();            // no work at all: yield, or park
-//   std::uint64_t wire_clock_ns();  // monotonic nanoseconds
-//   obs::Registry registry_;     // declared last (see registry())
 //
 // Threading: an engine belongs to exactly one thread (FM was
 // single-threaded per node too). Handlers run inside extract() on that
@@ -72,8 +77,7 @@ class Engine {
   using Handler = typename HandlerRegistry<Wire>::Fn;
 
   /// Layer statistics: the FM-Scope shared counter block — one definition
-  /// for every backend (fm::SimEndpoint uses the same alias), registered by
-  /// name into this endpoint's registry().
+  /// for every backend, registered by name into this endpoint's registry().
   using Stats = obs::EndpointCounters;
 
   Engine(const Engine&) = delete;
@@ -200,6 +204,81 @@ class Engine {
   /// Registers the Stats counters and the engine's queue gauges.
   void register_metrics(obs::Registry& reg);
 
+  // The nonblocking core, as a driver sequences it. None of these calls
+  // waits; the blocking driver below and fm::SimEndpoint's coroutines are
+  // its two drivers.
+
+  /// A message on its way out, one frame per send_step().
+  struct Outgoing {
+    NodeId dest = 0;
+    HandlerId handler = 0;
+    const std::uint8_t* bytes = nullptr;
+    std::size_t len = 0;
+    std::uint32_t msg_id = 0;
+    std::uint16_t next = 0;   // the next frame to send
+    std::uint16_t frags = 1;  // more than one: segmented
+    bool done() const { return next == frags; }
+  };
+  /// Validates a send and counts the message sent; on kOk, `m` holds it.
+  FM_HOT_PATH Status start_send(Outgoing& m, NodeId dest, HandlerId handler,
+                                const void* buf, std::size_t len);
+  /// Sends the next frame of `m`: kOk when it went to the wire, kAgain when
+  /// the window or credit gate is shut (nothing sent: retry after
+  /// extract()), kPeerDead when FM-R declared the peer dead (the message is
+  /// abandoned).
+  FM_HOT_PATH Status send_step(Outgoing& m);
+  /// The post-receive service pass: reject-queue retries, standalone and
+  /// duplicate acks, the FM-R timer tick and the reassembly TTL.
+  FM_HOT_PATH void service();
+  /// Sends every ack owed, however few (drain()'s flush, so that peers can
+  /// drain too).
+  void ack_all();
+  /// Nothing outstanding: every frame acknowledged, no reject parked.
+  bool drained() const {
+    return (!cfg_.flow_control || window_.in_flight() == 0) &&
+           rejq_.size() == 0;
+  }
+  /// True when FM-R has work that only time advances (an armed retransmit
+  /// timer, a parked reject): an idle driver must come back within a poll
+  /// interval instead of waiting for an arrival.
+  bool awaiting_timeout() const {
+    return cfg_.reliability && (timer_.armed() > 0 || rejq_.size() > 0);
+  }
+  /// Marks a send blocked on the window or credit gate for as long as it
+  /// lives: the reject-queue retries in service() then leave one window
+  /// slot for the blocked frame (see send_blocked_spin_). Nested sends
+  /// restore the outer state.
+  class BlockedSend {
+   public:
+    explicit BlockedSend(Engine& e) : e_(e), outer_(e.send_blocked_spin_) {
+      e.send_blocked_spin_ = true;
+    }
+    ~BlockedSend() { e_.send_blocked_spin_ = outer_; }
+    BlockedSend(const BlockedSend&) = delete;
+    BlockedSend& operator=(const BlockedSend&) = delete;
+
+   private:
+    Engine& e_;
+    bool outer_;
+  };
+
+  struct Posted {
+    NodeId dest = 0;
+    HandlerId handler = 0;
+    std::vector<std::uint8_t> payload;
+  };
+  /// The posted queue, drained by a driver after the handlers ran:
+  /// claim_posted() opens a drain (false when nothing is posted, or when a
+  /// drain further up the stack owns the queue: a blocked posted send nests
+  /// extract()), next_posted() names the entry to send (null once the queue
+  /// is empty, which closes the drain) and retire_posted() takes the send's
+  /// status. Send from the entry before anything can post again.
+  FM_HOT_PATH bool claim_posted();
+  FM_HOT_PATH const Posted* next_posted();
+  FM_HOT_PATH void retire_posted(Status s);
+  /// Traces one extract pass that consumed `count` frames, begun at `t0`.
+  FM_HOT_PATH void trace_extract(std::uint64_t t0, std::size_t count);
+
   Stats stats_;
   // FM-Scope. Category ids are interned at construction so the hot path
   // stores 16-bit ids, never strings.
@@ -217,12 +296,6 @@ class Engine {
   // Wire-format bound on acks per frame (ack_count is a u8).
   static constexpr std::size_t kMaxAcksPerFrame = 255;
 
-  struct Posted {
-    NodeId dest = 0;
-    HandlerId handler = 0;
-    std::vector<std::uint8_t> payload;
-  };
-
   struct DeferredTx {
     NodeId dest = 0;
     std::vector<std::uint8_t> bytes;
@@ -237,13 +310,13 @@ class Engine {
   FM_HOT_PATH bool wire_may_corrupt() const {
     return !Wire::kLosslessWire || faults_ != nullptr;
   }
+  // True for the wires the blocking driver can wait on: those with an idle
+  // primitive. fm::SimEndpoint has none — its coroutines do the waiting —
+  // so no blocking loop is built for it.
+  FM_HOT_PATH static constexpr bool blocking_wire() {
+    return requires(Wire& w) { w.wire_idle(); };
+  }
 
-  FM_HOT_PATH Status send_data_frame(NodeId dest, HandlerId handler,
-                                     const std::uint8_t* payload,
-                                     std::size_t len, bool fragmented,
-                                     std::uint32_t msg_id,
-                                     std::uint16_t frag_index,
-                                     std::uint16_t frag_count);
   // `window_seq` names the send-window entry when `frame` points into the
   // window slab (0 — never a valid seq — otherwise): a blocked push must
   // re-validate the slot after nested extract()s, which can release and
@@ -309,13 +382,13 @@ class Engine {
   // tx_scratch_ holds in-flight frame bytes for sends without a window slab
   // slot (flow control off); it is depth-indexed because a posted send
   // drained from a nested extract() can overlap one app-context send (and
-  // only one — drain_posted is re-entrancy-guarded).
+  // only one — the posted drain is re-entrancy-guarded by claim_posted).
   std::array<std::vector<std::uint8_t>, 2> tx_scratch_;
   std::size_t tx_depth_ = 0;
   std::vector<std::uint8_t> retx_scratch_;   // staged retransmission bytes
   std::vector<std::uint8_t> reasm_out_;      // completed reassembled message
-  std::vector<NodeId> ack_peers_scratch_;    // extract()'s ack-flush worklist
-  std::vector<NodeId> drain_peers_scratch_;  // drain()'s ack worklist
+  std::vector<NodeId> ack_peers_scratch_;    // service()'s ack-flush worklist
+  std::vector<NodeId> drain_peers_scratch_;  // ack_all()'s worklist
   std::vector<RetransmitTimer::Due> due_scratch_;  // reliability_tick()'s
   // Rejects owed for frames processed in place inside wire storage:
   // injecting mid-burst could re-enter extract() while unconsumed frames
@@ -328,10 +401,10 @@ class Engine {
   bool flushing_deferred_ = false;
   bool in_ack_flush_ = false;
   bool in_reliability_tick_ = false;
-  // Set while send_data_frame() spins on a full window so the reject-queue
-  // tick inside extract() leaves one slot free for the blocked frame
-  // (otherwise bounce-release + retry-re-track inside one extract() call
-  // starves the sender forever at reject_retry_delay 1).
+  // Set (by BlockedSend) while a send waits on a shut gate so the
+  // reject-queue tick inside extract() leaves one slot free for the blocked
+  // frame (otherwise bounce-release + retry-re-track inside one extract()
+  // call starves the sender forever at reject_retry_delay 1).
   bool send_blocked_spin_ = false;
   std::uint16_t cat_send_ = 0;
   std::uint16_t cat_extract_ = 0;
@@ -443,83 +516,83 @@ Status Engine<Wire>::send(NodeId dest, HandlerId handler, const void* buf,
                           std::size_t len) {
   FM_CHECK_MSG(!in_handler_,
                "send() from handler context; use post_send() instead");
+  Outgoing m;
+  Status s = start_send(m, dest, handler, buf, len);
+  while (ok(s) && !m.done()) {
+    s = send_step(m);
+    if (s != Status::kAgain) continue;
+    // The gate is shut: service the network while blocked (the FM
+    // discipline), flagged so that the reject-queue retries inside extract()
+    // leave one window slot for this frame. Without the reservation a
+    // bounced frame's release and its retry's re-entry both land inside one
+    // extract() call (at reject_retry_delay 1), so the next step always
+    // finds the window full again — and a fresh fragment that would
+    // complete an admitted reassembly (unwedging every peer bouncing off
+    // that pool slot) is starved forever by its own sibling's retries.
+    std::size_t n;
+    {
+      BlockedSend blocked(*this);
+      n = extract();
+    }
+    if (n == 0) idle_pause();
+    s = Status::kOk;
+  }
+  return s;
+}
+
+template <class Wire>
+Status Engine<Wire>::start_send(Outgoing& m, NodeId dest, HandlerId handler,
+                                const void* buf, std::size_t len) {
   if (dest >= nodes_) return Status::kBadArgument;
   if (!handlers_.valid(handler) || (len > 0 && buf == nullptr))
     return Status::kBadArgument;
   if (dead_[dest] != 0) return Status::kPeerDead;
   ++stats_.messages_sent;
-  const auto* bytes = static_cast<const std::uint8_t*>(buf);
-  if (len <= cfg_.frame_payload) {
-    Status s = send_data_frame(dest, handler, bytes, len, false, 0, 0, 1);
-    // Counted sent, then refused mid-flight by a dead-peer declaration:
-    // abandoned, for the conservation invariant (sent == delivered +
-    // abandoned while no peer is dead).
-    if (s == Status::kPeerDead) ++stats_.messages_abandoned;
-    return s;
-  }
+  m = Outgoing{dest, handler, static_cast<const std::uint8_t*>(buf), len};
+  if (len <= cfg_.frame_payload) return Status::kOk;
+  // Segmentation: "Larger messages will require segmentation and
+  // reassembly into frames of this size" (§5).
   const std::size_t per = cfg_.frame_payload;
   const std::size_t frags = (len + per - 1) / per;
   if (frags > 0xffff) return Status::kTooLarge;
-  const std::uint32_t msg_id = next_msg_id_++;
-  for (std::size_t i = 0; i < frags; ++i) {
-    const std::size_t off = i * per;
-    const std::size_t n = std::min(per, len - off);
-    Status s = send_data_frame(dest, handler, bytes + off, n, true, msg_id,
-                               static_cast<std::uint16_t>(i),
-                               static_cast<std::uint16_t>(frags));
-    if (!ok(s)) {
-      if (s == Status::kPeerDead) ++stats_.messages_abandoned;
-      return s;
-    }
-  }
+  m.frags = static_cast<std::uint16_t>(frags);
+  m.msg_id = next_msg_id_++;
   return Status::kOk;
 }
 
 template <class Wire>
-Status Engine<Wire>::send_data_frame(NodeId dest, HandlerId handler,
-                                     const std::uint8_t* payload,
-                                     std::size_t len, bool fragmented,
-                                     std::uint32_t msg_id,
-                                     std::uint16_t frag_index,
-                                     std::uint16_t frag_count) {
+Status Engine<Wire>::send_step(Outgoing& m) {
   trace_.assert_writer();  // single-threaded endpoint: we are the writer
-  // Window gate — and, in window mode, a per-destination credit gate —
-  // servicing the network while blocked (the FM discipline).
-  while (cfg_.flow_control &&
-         (window_.full() || (cfg_.window_mode && credits_[dest] == 0))) {
-    // A peer declared dead while we were blocked frees its window slots;
-    // the caller learns immediately instead of spinning forever.
-    if (dead_[dest] != 0) return Status::kPeerDead;
-    // Flag the spin so the reject-queue tick inside extract() leaves one
-    // window slot for this frame. Without the reservation a bounced
-    // frame's release and its retry's re-entry both land inside one
-    // extract() call (at reject_retry_delay 1), so this loop's recheck
-    // always sees the window full again — and a fresh fragment that would
-    // complete an admitted reassembly (unwedging every peer bouncing off
-    // that pool slot) is starved forever by its own sibling's retries.
-    const bool outer_spin = send_blocked_spin_;  // nested sends restore it
-    send_blocked_spin_ = true;
-    const std::size_t n = extract();
-    send_blocked_spin_ = outer_spin;
-    if (n == 0) idle_pause();
+  const NodeId dest = m.dest;
+  // A peer declared dead (while the send waited, it frees its window slots)
+  // fails the send at once instead of leaving it blocked forever. Counted
+  // sent, then refused mid-flight: abandoned, for the conservation
+  // invariant (sent == delivered + abandoned while no peer is dead).
+  if (dead_[dest] != 0) {
+    ++stats_.messages_abandoned;
+    return Status::kPeerDead;
   }
-  if (dead_[dest] != 0) return Status::kPeerDead;
-  if (cfg_.flow_control && cfg_.window_mode) {
-    FM_CHECK(credits_[dest] > 0);
-    --credits_[dest];
-  }
+  // Window gate — and, in window mode, a per-destination credit gate.
+  if (cfg_.flow_control &&
+      (window_.full() || (cfg_.window_mode && credits_[dest] == 0)))
+    return Status::kAgain;
+  if (cfg_.flow_control && cfg_.window_mode) --credits_[dest];
+  const std::size_t off = std::size_t{m.next} * cfg_.frame_payload;
+  const std::uint8_t* payload = m.bytes + off;
+  const std::size_t len = std::min(cfg_.frame_payload, m.len - off);
   FrameHeader h;
   h.type = FrameType::kData;
-  h.handler = handler;
+  h.handler = m.handler;
   h.src = id_;
   h.payload_len = static_cast<std::uint16_t>(len);
   if (cfg_.crc_frames) h.flags |= FrameHeader::kFlagCrc;
-  if (fragmented) {
+  if (m.frags > 1) {
     h.flags |= FrameHeader::kFlagFragmented;
-    h.msg_id = msg_id;
-    h.frag_index = frag_index;
-    h.frag_count = frag_count;
+    h.msg_id = m.msg_id;
+    h.frag_index = m.next;
+    h.frag_count = m.frags;
   }
+  ++m.next;
   if (cfg_.flow_control) {
     h.seq = window_.next_seq(dest);
     std::uint32_t piggy[kMaxAcksPerFrame];
@@ -546,7 +619,7 @@ Status Engine<Wire>::send_data_frame(NodeId dest, HandlerId handler,
   }
   // No flow control means no retained copy is needed: serialize into the
   // depth-indexed scratch. Depth 2 suffices — a posted send drained from a
-  // nested extract() can overlap the app-context send, and drain_posted()'s
+  // nested extract() can overlap the app-context send, and claim_posted()'s
   // re-entrancy guard rules out anything deeper.
   FM_CHECK_MSG(tx_depth_ < tx_scratch_.size(), "send scratch depth exceeded");
   std::uint8_t* buf = tx_scratch_[tx_depth_].data();
@@ -618,7 +691,11 @@ void Engine<Wire>::push(NodeId dest, const std::uint8_t* frame,
     // very timers whose expiry is the only way out of a dead peer's
     // permanently full ring.
     if (nonblocking) return;
-    if (extract() == 0) idle_pause();
+    if constexpr (blocking_wire()) {
+      if (extract() == 0) idle_pause();
+    } else {
+      FM_CHECK_MSG(false, "a wire without an idle primitive pushed back");
+    }
     // When `frame` points into the window slab, the nested extract can
     // invalidate it: a dead-peer declaration drops the slot, and a
     // reliability_tick() retransmission of this very frame can be acked
@@ -646,11 +723,6 @@ std::size_t Engine<Wire>::extract() {
   // the call go out before we read (the peer may be waiting on them), and
   // the acks/retries generated while processing go out before we return.
   wire().wire_flush();
-  // Trace the extract as a B/E span, but only when it consumed something:
-  // recording idle polls would flood the flight recorder while a blocked
-  // sender spins. Both records are appended after the fact with their true
-  // timestamps; the exporter's global sort restores chronological order
-  // (and correct nesting for extracts nested under backpressure).
   const std::uint64_t trace_t0 = trace_.enabled() ? now_ns() : 0;
   // The wire feeds every deliverable frame through receive(), processed in
   // place in wire storage and bounded per source, so a producer refilling
@@ -659,6 +731,15 @@ std::size_t Engine<Wire>::extract() {
   // every transmission it provokes is deferred (defer_reject) or queued
   // (rejq_, posted_) and injected once the wire's storage is consistent.
   const std::size_t count = wire().wire_receive();
+  service();
+  drain_posted();
+  wire().wire_flush();
+  trace_extract(trace_t0, count);
+  return count;
+}
+
+template <class Wire>
+void Engine<Wire>::service() {
   // Retransmit rejected frames whose backoff expired. Re-injection re-arms
   // the FM-R timer with a fresh retry budget: a rejection proved the peer
   // alive, so the dead-peer countdown restarts. The retry re-enters the
@@ -725,19 +806,23 @@ std::size_t Engine<Wire>::extract() {
       stats_.reassemblies_expired +=
           reasm_.expire_older_than(now - cfg_.reassembly_ttl_ns);
   }
-  drain_posted();
-  wire().wire_flush();
-  if (trace_.enabled() && count > 0) {
-    const std::uint64_t now = now_ns();
-    trace_.event(trace_t0, cat_extract_, 'B',
-                 static_cast<std::uint32_t>(count));
-    trace_.event(now, cat_extract_, 'E', static_cast<std::uint32_t>(count));
-    // Occupancy sample for Perfetto's counter track.
-    trace_.event(now, cat_depth_, 'C',
-                 static_cast<std::uint32_t>(window_.in_flight()),
-                 static_cast<std::uint32_t>(rejq_.size()));
-  }
-  return count;
+}
+
+template <class Wire>
+void Engine<Wire>::trace_extract(std::uint64_t t0, std::size_t count) {
+  // Trace the extract as a B/E span, but only when it consumed something:
+  // recording idle polls would flood the flight recorder while a blocked
+  // sender spins. Both records are appended after the fact with their true
+  // timestamps; the exporter's global sort restores chronological order
+  // (and correct nesting for extracts nested under backpressure).
+  if (!trace_.enabled() || count == 0) return;
+  const std::uint64_t now = now_ns();
+  trace_.event(t0, cat_extract_, 'B', static_cast<std::uint32_t>(count));
+  trace_.event(now, cat_extract_, 'E', static_cast<std::uint32_t>(count));
+  // Occupancy sample for Perfetto's counter track.
+  trace_.event(now, cat_depth_, 'C',
+               static_cast<std::uint32_t>(window_.in_flight()),
+               static_cast<std::uint32_t>(rejq_.size()));
 }
 
 template <class Wire>
@@ -759,18 +844,20 @@ void Engine<Wire>::flush_deferred_tx() {
 template <class Wire>
 void Engine<Wire>::drain() {
   for (;;) {
-    if (cfg_.flow_control) {
-      acks_.peers_into(drain_peers_scratch_);
-      for (NodeId peer : drain_peers_scratch_) send_standalone_ack(peer);
-    }
+    ack_all();
     // Staged frames count as outstanding: returning with bytes still
     // staged would leave a peer waiting on acks we never sent.
     const bool staged = wire().wire_flush() > 0;
-    if (!staged && (!cfg_.flow_control || window_.in_flight() == 0) &&
-        rejq_.size() == 0)
-      return;
+    if (!staged && drained()) return;
     if (extract() == 0) idle_pause();
   }
+}
+
+template <class Wire>
+void Engine<Wire>::ack_all() {
+  if (!cfg_.flow_control) return;
+  acks_.peers_into(drain_peers_scratch_);
+  for (NodeId peer : drain_peers_scratch_) send_standalone_ack(peer);
 }
 
 template <class Wire>
@@ -972,26 +1059,40 @@ void Engine<Wire>::process_frame(NodeId from, const std::uint8_t* data,
 
 template <class Wire>
 void Engine<Wire>::drain_posted() {
-  if (draining_posted_) return;
+  if (!claim_posted()) return;
+  while (const Posted* p = next_posted())
+    retire_posted(send(p->dest, p->handler, p->payload.data(),
+                       p->payload.size()));
+}
+
+template <class Wire>
+bool Engine<Wire>::claim_posted() {
+  if (draining_posted_ || posted_head_ == posted_.size()) return false;
   draining_posted_ = true;
-  while (posted_head_ < posted_.size()) {
-    // Index on every access: a blocked send nests extract(), and a handler
-    // running there may post more, reallocating posted_. The payload's own
-    // heap buffer is stable across that reallocation (vector move).
-    Status s = send(posted_[posted_head_].dest, posted_[posted_head_].handler,
-                    posted_[posted_head_].payload.data(),
-                    posted_[posted_head_].payload.size());
-    // A posted reply to a peer that died while it sat queued is dropped,
-    // not a crash.
-    FM_CHECK_MSG(ok(s) || s == Status::kPeerDead, "posted send failed");
-    // fm-lint: allow(hotpath-alloc): recycles the entry (and its warm
-    // payload buffer) into the pool; amortizes to zero allocations.
-    posted_pool_.push_back(std::move(posted_[posted_head_]));
-    ++posted_head_;
-  }
+  return true;
+}
+
+template <class Wire>
+const typename Engine<Wire>::Posted* Engine<Wire>::next_posted() {
+  // Index on every access: a blocked send nests extract(), and a handler
+  // running there may post more, reallocating posted_. The payload's own
+  // heap buffer is stable across that reallocation (vector move).
+  if (posted_head_ < posted_.size()) return &posted_[posted_head_];
   posted_.clear();
   posted_head_ = 0;
   draining_posted_ = false;
+  return nullptr;
+}
+
+template <class Wire>
+void Engine<Wire>::retire_posted(Status s) {
+  // A posted reply to a peer that died while it sat queued is dropped,
+  // not a crash.
+  FM_CHECK_MSG(ok(s) || s == Status::kPeerDead, "posted send failed");
+  // fm-lint: allow(hotpath-alloc): recycles the entry (and its warm
+  // payload buffer) into the pool; amortizes to zero allocations.
+  posted_pool_.push_back(std::move(posted_[posted_head_]));
+  ++posted_head_;
 }
 
 template <class Wire>
@@ -1074,7 +1175,7 @@ void Engine<Wire>::post_send2(NodeId dest, HandlerId handler, const void* hdr,
   // fm-lint: allow(hotpath-alloc): appends within the same warm capacity.
   p.payload.insert(p.payload.end(), b, b + body_len);
   // fm-lint: allow(hotpath-alloc): the posted list's capacity warms up and
-  // is kept by drain_posted()'s clear().
+  // is kept by next_posted()'s clear().
   posted_.push_back(std::move(p));
 }
 

@@ -376,13 +376,6 @@ class RetransmitTimer {
     }
   }
 
-  /// Convenience wrapper over expired_into (tests and cold callers).
-  FM_COLD_PATH std::vector<Due> expired(std::uint64_t now_ns) {
-    std::vector<Due> due;
-    expired_into(now_ns, due);
-    return due;
-  }
-
   /// Timers currently armed.
   std::size_t armed() const { return armed_.size(); }
 
@@ -506,20 +499,6 @@ class AckTracker {
     return n;
   }
 
-  /// Removes and returns up to `max` owed acks for `src` (oldest first).
-  /// Unlike take_into, an emptied entry is erased — the sim backend replays
-  /// bit-exactly against recorded baselines, and keeping dead entries would
-  /// perturb the map's iteration order (and thus simulated event order).
-  FM_COLD_PATH std::vector<std::uint32_t> take(NodeId src, std::size_t max) {
-    std::vector<std::uint32_t> out;
-    auto it = due_.find(src);
-    if (it == due_.end()) return out;
-    out.resize(std::min(max, it->second.size()));
-    take_into(src, out.size(), out.data());
-    if (it->second.empty()) due_.erase(it);
-    return out;
-  }
-
   /// Appends every source owed at least `threshold` acks (and at least one)
   /// to `out`, cleared first. Caller supplies the vector so a steady-state
   /// caller can reuse one buffer.
@@ -532,26 +511,12 @@ class AckTracker {
       if (!v.empty() && v.size() >= threshold) out.push_back(node);
   }
 
-  /// Sources owed at least `threshold` acks (and at least one).
-  FM_COLD_PATH std::vector<NodeId> peers_over(std::size_t threshold) const {
-    std::vector<NodeId> out;
-    peers_over_into(threshold, out);
-    return out;
-  }
-
   /// Drops every ack owed to `src` (dead-peer cleanup: an ack aimed at a
   /// dead node would be injected into the network for nobody).
   void forget(NodeId src) { due_.erase(src); }
 
   /// Appends every source with any owed acks to `out`, cleared first.
   void peers_into(std::vector<NodeId>& out) const { peers_over_into(1, out); }
-
-  /// All sources with any owed acks.
-  std::vector<NodeId> peers() const {
-    std::vector<NodeId> out;
-    peers_into(out);
-    return out;
-  }
 
  private:
   std::unordered_map<NodeId, std::vector<std::uint32_t>> due_;

@@ -6,13 +6,21 @@
 // (§4.4) and return-to-sender flow control with piggybacked acknowledgements
 // (§4.5), all driving the FmLcp on the node's LANai.
 //
-// API calls are coroutines (sim::Op) because host software costs simulated
-// time: FM_send spools the frame into LANai memory with programmed I/O,
-// FM_extract pays per-frame interpretation and dispatch cycles. Handlers
-// are synchronous functions; a handler that wants to communicate posts a
-// reply (post_send4/post_send), which extract() injects — with full send
-// costs — right after the handler returns, matching how handler-context
-// sends behave in FM.
+// The protocol is fm::Engine (fm/engine.h), the same core shm, net and
+// FM-Check run; this class is its fourth wire adapter, with a coroutine
+// driver in place of the engine's blocking one. API calls are coroutines
+// (sim::Op) because host software costs simulated time. The wire stages
+// each frame the core pushes, and the driver then charges it and spools it
+// into LANai memory with programmed I/O: a fresh data frame pays send
+// setup (plus flow control) and CRC cycles, an ack or a reject setup and
+// CRC, a retransmission nothing before the PIO; every frame then waits for
+// LANai send space, is written and triggered. Each received frame pays
+// dispatch (plus flow control) and CRC-verify cycles before the core sees
+// it. Handlers are synchronous functions; a handler that wants to
+// communicate posts a reply (post_send4/post_send), which extract() sends —
+// with full send costs — right after the core has processed that frame,
+// matching how handler-context sends behave in FM. Every cost constant
+// lives in hw/params.h.
 //
 // Usage (inside a sim::Task host program):
 //
@@ -24,52 +32,34 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
-#include <unordered_set>
-#include <vector>
+#include <deque>
 
 #include "common/status.h"
 #include "common/types.h"
 #include "fm/config.h"
-#include "fm/frame.h"
-#include "fm/handler_registry.h"
-#include "fm/protocol.h"
+#include "fm/engine.h"
 #include "hw/cluster.h"
+#include "hw/packet.h"
 #include "lcp/fm_lcp.h"
-#include "obs/counters.h"
 #include "obs/registry.h"
-#include "obs/trace_ring.h"
 #include "sim/op.h"
 
 namespace fm {
 
-/// The simulated-cluster FM endpoint (one per node).
-class SimEndpoint {
+/// The simulated-cluster FM endpoint (one per node): the FM API of
+/// fm::Engine, with send/extract/drain as coroutines.
+class SimEndpoint : public Engine<SimEndpoint> {
  public:
-  /// Handler type: (endpoint, source node, transient payload).
-  using Handler = HandlerRegistry<SimEndpoint>::Fn;
-
-  /// Layer statistics (tests and utilization reports): the FM-Scope shared
-  /// counter block, identical across both backends and registered by name
-  /// into this endpoint's registry().
-  using Stats = obs::EndpointCounters;
-
-  /// Creates an endpoint on `node`. Call start() before communicating.
+  /// Creates an endpoint on `node`; the cluster size is the node's fabric.
+  /// Call start() before communicating.
   explicit SimEndpoint(hw::Node& node, FmConfig cfg = FmConfig(),
                        lcp::FmLcpConfig lcp_cfg = lcp::FmLcpConfig());
   ~SimEndpoint();
-  SimEndpoint(const SimEndpoint&) = delete;
-  SimEndpoint& operator=(const SimEndpoint&) = delete;
 
   /// Boots the node's LANai control program.
   void start();
   /// Stops the control program (drains at the next LCP wake-up).
   void shutdown();
-
-  /// Registers `fn`; returns the id to put in messages. All nodes must
-  /// register the same handlers in the same order (SPMD discipline).
-  HandlerId register_handler(Handler fn) { return handlers_.add(std::move(fn)); }
 
   /// FM_send_4: a four-word message (Table 1).
   sim::Op<Status> send4(NodeId dest, HandlerId handler, std::uint32_t w0,
@@ -91,24 +81,6 @@ class SimEndpoint {
   /// *peers'* drains terminate too.
   sim::Op<> drain();
 
-  /// This node's id.
-  NodeId id() const { return node_.id(); }
-  /// Messages whose acks we are still waiting on (flow control only).
-  std::size_t unacked() const { return window_.in_flight(); }
-  /// Frames parked for retransmission.
-  std::size_t reject_queue_depth() const { return rejq_.size(); }
-  /// True when FM-R declared `peer` dead (sends to it fail immediately).
-  bool peer_dead(NodeId peer) const { return dead_peers_.count(peer) > 0; }
-
-  const Stats& stats() const { return stats_; }
-  const FmConfig& config() const { return cfg_; }
-  /// FM-Scope registry ("sim.node<id>"): every Stats field as a named
-  /// counter, plus queue-depth gauges for the four-queue design.
-  obs::Registry& registry() { return registry_; }
-  const obs::Registry& registry() const { return registry_; }
-  /// FM-Scope trace ring (disabled by default; enable() to record).
-  obs::TraceRing& trace_ring() { return trace_; }
-  const obs::TraceRing& trace_ring() const { return trace_; }
   /// Condition notified when the LANai delivers frames to this host.
   sim::Condition& delivery_cond() { return host_rx_.arrived(); }
   /// The underlying control program (diagnostics).
@@ -116,96 +88,35 @@ class SimEndpoint {
   hw::Node& node() { return node_; }
   sim::Simulator& sim() { return node_.nic().lanai().simulator(); }
 
-  /// Posts a reply from handler context; injected by extract() right after
-  /// the running handler returns (with normal send costs).
-  void post_send4(NodeId dest, HandlerId handler, std::uint32_t w0,
-                  std::uint32_t w1, std::uint32_t w2, std::uint32_t w3);
-  /// Posts an arbitrary-length reply from handler context.
-  void post_send(NodeId dest, HandlerId handler, const void* buf,
-                 std::size_t len);
-
  private:
-  struct Posted {
-    NodeId dest;
-    HandlerId handler;
-    std::vector<std::uint8_t> payload;
-  };
+  friend class Engine<SimEndpoint>;
 
-  // Sends one encoded frame through the hybrid path: waits for LANai queue
-  // space, pays PIO + trigger costs, enqueues. Does not touch the window.
-  sim::Op<> inject(NodeId dest, std::vector<std::uint8_t> bytes);
+  // The fabric's fault model (HwParams::faults) can drop or garble frames.
+  static constexpr bool kLosslessWire = false;
 
-  // Builds and sends one data frame (window wait, piggyback acks, track).
-  sim::Op<Status> send_data_frame(NodeId dest, HandlerId handler,
-                                  const std::uint8_t* payload,
-                                  std::size_t len, bool fragmented,
-                                  std::uint32_t msg_id,
-                                  std::uint16_t frag_index,
-                                  std::uint16_t frag_count);
+  // Stages the frame for flush(); the simulated wire is never full.
+  WireStatus wire_push(NodeId dest, const std::uint8_t* frame,
+                       std::size_t len);
+  // Simulated time in ns.
+  std::uint64_t wire_clock_ns();
 
-  // Sends a standalone ack frame carrying up to 255 owed acks to `peer`.
-  sim::Op<> send_standalone_ack(NodeId peer);
-
-  // Returns a data frame to its sender (return-to-sender rejection).
-  sim::Op<> send_reject(NodeId to, const FrameHeader& h,
-                        const std::uint8_t* data);
-
-  // Processes one delivered frame (dispatch / ack / reject bookkeeping).
-  sim::Op<> process_frame(hw::Packet pkt);
-
-  // Runs posted handler replies.
-  sim::Op<> drain_posted();
-
-  // FM-R: fires expired retransmit timers (retransmit or declare the peer
-  // dead) and reclaims abandoned reassembly slots.
-  sim::Op<> reliability_tick();
-
-  // Sleeps until new frames arrive — or, with FM-R timers armed, until the
-  // next retransmit poll interval.
+  // Charges and spools every staged frame in order. Data frames staged by a
+  // send step are `fresh`; any other staged data frame is a retransmission.
+  sim::Op<> flush(bool fresh);
+  // Charges a received frame's host costs before the core processes it.
+  sim::Op<> charge_receive(const hw::Packet& pkt);
+  // Sends the replies the handlers posted.
+  sim::Op<> send_posted();
+  // Sleeps until new frames arrive — or, when FM-R awaits a timeout, for
+  // one retransmit poll interval.
   sim::Op<> idle_wait();
 
-  // Drops all state aimed at a peer that exhausted its retries.
-  void mark_peer_dead(NodeId peer);
-
-  // Current time for the protocol timers (simulated ns).
-  std::uint64_t now_ns();
-
-  // Re-encodes a frame with its piggybacked acks stripped.
-  static std::vector<std::uint8_t> strip_acks(const FrameHeader& h,
-                                              const std::uint8_t* data);
-
   hw::Node& node_;
-  FmConfig cfg_;
   lcp::HostRecvQueue host_rx_;
   lcp::FmLcp lcp_;
-  HandlerRegistry<SimEndpoint> handlers_;
-  SendWindow window_;
-  AckTracker acks_;
-  Reassembler reasm_;
-  RejectQueue rejq_;
-  RetransmitTimer timer_;
-  DedupFilter dedup_;
-  std::unordered_set<NodeId> dead_peers_;
-  Stats stats_;
-  std::vector<Posted> posted_;
-  std::unordered_map<NodeId, std::size_t> credits_;  // window mode only
-  std::uint32_t next_msg_id_ = 1;
+  std::deque<hw::Packet> staged_;
   std::size_t consumed_since_update_ = 0;
-  bool draining_posted_ = false;
   bool started_ = false;
-  // Set while send() spins on a full window so the reject-queue tick inside
-  // extract() leaves one slot free for the blocked frame (otherwise
-  // bounce-release + retry-re-track inside one extract() call starves the
-  // sender forever at reject_retry_delay 1).
-  bool send_blocked_spin_ = false;
-  // FM-Scope. Interned category ids for the hot-path trace events.
-  obs::TraceRing trace_;
-  std::uint16_t cat_send_ = 0;
-  std::uint16_t cat_deliver_ = 0;
-  std::uint16_t cat_retransmit_ = 0;
-  std::uint16_t cat_reject_ = 0;
-  std::uint16_t cat_crc_drop_ = 0;
-  std::uint16_t cat_dead_peer_ = 0;
   // The registry's gauges reference the members above; it is declared last
   // so it is destroyed first, while everything they point at is alive.
   obs::Registry registry_;

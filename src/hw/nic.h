@@ -126,6 +126,11 @@ class Nic {
   Sbus& sbus() { return sbus_; }
   /// This NIC's node id (== its switch port).
   NodeId id() const { return id_; }
+  /// Nodes on the fabric this NIC is cabled to: the cluster size.
+  std::size_t fabric_nodes() const {
+    FM_CHECK_MSG(switch_ != nullptr, "NIC not cabled to a network");
+    return switch_->ports();
+  }
 
   /// Fresh unique packet id (node id in the top bits for traceability).
   std::uint64_t next_packet_id() {

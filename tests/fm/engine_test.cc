@@ -5,7 +5,9 @@
 // adapter — two endpoints joined by in-memory queues, a clock that moves
 // only when the test says so, and a switch that makes the wire eat one
 // direction's data frames — so FM-R's liveness rule can be checked by
-// counters and fake time alone: no threads, no sockets, no sleeps.
+// counters and fake time alone: no threads, no sockets, no sleeps. The
+// same wire drives the nonblocking core's send step by hand, one frame at
+// a time, to check what a shut window or credit gate does mid-message.
 //
 // The rule (docs/PROTOCOL.md §7): a frame whose retry budget runs out
 // against a peer heard from within one detection horizon is re-armed, and
@@ -23,6 +25,7 @@
 
 #include "fm/engine.h"
 #include "fm/frame.h"
+#include "obs/counters.h"
 #include "obs/registry.h"
 
 namespace fm {
@@ -56,6 +59,11 @@ class FakeEndpoint : public Engine<FakeEndpoint> {
     registry_.assert_owner();
     register_metrics(registry_);
   }
+
+  // The nonblocking core's send, driven frame by frame by the tests.
+  using Engine::Outgoing;
+  using Engine::send_step;
+  using Engine::start_send;
 
  private:
   friend class Engine<FakeEndpoint>;
@@ -223,6 +231,107 @@ TEST_F(EngineLiveness, FramesFromAPeerDeclaredDeadAreDiscarded) {
   EXPECT_GT(b_.stats().frames_discarded_dead, discarded);
   EXPECT_EQ(a_.stats().messages_delivered, 0u);
 }
+
+// The nonblocking core's send step over the same wire: a message longer
+// than the gate admits stops with kAgain mid-message, pushes nothing more
+// while the gate stays shut, and resumes at the next fragment once an ack
+// reopens it.
+class EngineSendStep : public ::testing::TestWithParam<bool> {
+ protected:
+  // Frames of 16 payload bytes, so kLen is 4 fragments against a gate of 2
+  // frames: the pending window, or (window mode) the per-peer credits.
+  static constexpr std::size_t kLen = 64;
+
+  static FmConfig config(bool window_mode) {
+    FmConfig cfg;
+    cfg.frame_payload = 16;
+    cfg.window_mode = window_mode;
+    if (window_mode)
+      cfg.window_per_peer = 2;
+    else
+      cfg.pending_window = 2;
+    return cfg;
+  }
+
+  EngineSendStep()
+      : a_(wire_, 0, config(GetParam())), b_(wire_, 1, config(GetParam())) {
+    auto drop = [](FakeEndpoint&, NodeId, const void*, std::size_t) {};
+    h_ = a_.register_handler(drop);
+    EXPECT_EQ(b_.register_handler(
+                  [this](FakeEndpoint&, NodeId src, const void* data,
+                         std::size_t len) {
+                    EXPECT_EQ(src, 0u);
+                    const auto* p = static_cast<const std::uint8_t*>(data);
+                    delivered_.emplace_back(p, p + len);
+                  }),
+              h_);
+  }
+
+  // The fragment index of the newest frame in flight to node 1.
+  std::uint16_t last_frag_to_b() const {
+    const auto& q = wire_.inbox[1];
+    const auto h = decode_header(q.back().data(), q.back().size());
+    EXPECT_TRUE(h.has_value() && h->fragmented());
+    return h.has_value() ? h->frag_index : 0xffff;
+  }
+
+  FakeWire wire_;
+  FakeEndpoint a_;
+  FakeEndpoint b_;
+  HandlerId h_ = 0;
+  std::vector<std::vector<std::uint8_t>> delivered_;
+};
+
+TEST_P(EngineSendStep, ShutGateReturnsAgainAndResumesAtTheNextFragment) {
+  std::vector<std::uint8_t> msg(kLen);
+  for (std::size_t i = 0; i < kLen; ++i)
+    msg[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  FakeEndpoint::Outgoing m;
+  ASSERT_EQ(a_.start_send(m, 1, h_, msg.data(), msg.size()), Status::kOk);
+  ASSERT_EQ(m.frags, 4u);
+
+  // Two frames fill the gate; the third step would block.
+  ASSERT_EQ(a_.send_step(m), Status::kOk);
+  ASSERT_EQ(a_.send_step(m), Status::kOk);
+  ASSERT_EQ(a_.send_step(m), Status::kAgain);
+  ASSERT_EQ(a_.send_step(m), Status::kAgain);
+  EXPECT_FALSE(m.done());
+  EXPECT_EQ(m.next, 2u);
+  EXPECT_EQ(wire_.inbox[1].size(), 2u) << "a shut gate must push nothing";
+  EXPECT_EQ(a_.stats().frames_sent, 2u);
+  EXPECT_EQ(last_frag_to_b(), 1u);
+
+  // Node 1 takes both fragments and acks them (its ack threshold is 1 at
+  // this gate size); node 0's extract() reads the ack and reopens the gate.
+  EXPECT_EQ(b_.extract(), 2u);
+  EXPECT_TRUE(delivered_.empty()) << "half a message must not be delivered";
+  EXPECT_EQ(a_.extract(), 1u);
+  EXPECT_EQ(a_.unacked(), 0u);
+
+  ASSERT_EQ(a_.send_step(m), Status::kOk);
+  EXPECT_EQ(last_frag_to_b(), 2u) << "the send resumes at the next fragment";
+  ASSERT_EQ(a_.send_step(m), Status::kOk);
+  EXPECT_EQ(last_frag_to_b(), 3u);
+  EXPECT_TRUE(m.done());
+  EXPECT_EQ(wire_.inbox[1].size(), 2u);
+
+  b_.extract();
+  a_.drain();
+  b_.drain();
+  ASSERT_EQ(delivered_.size(), 1u) << "delivered exactly once";
+  EXPECT_EQ(delivered_[0], msg) << "delivered intact";
+  EXPECT_EQ(a_.stats().frames_sent, 4u);
+  obs::Conservation c;
+  c.add(a_.stats());
+  c.add(b_.stats());
+  EXPECT_EQ(c.sent, 1u);
+  EXPECT_TRUE(c.balanced()) << "imbalance " << c.imbalance();
+}
+
+INSTANTIATE_TEST_SUITE_P(Gates, EngineSendStep, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "CreditGate" : "WindowGate";
+                         });
 
 }  // namespace
 }  // namespace fm

@@ -67,16 +67,20 @@ TEST(RetransmitTimer, FiresAfterDeadlineWithBackoff) {
   RetransmitTimer t(100, 3);
   t.arm(1, 7, 1000);
   EXPECT_EQ(t.armed(), 1u);
-  EXPECT_TRUE(t.expired(1099).empty());  // deadline is now + 100
-  auto due = t.expired(1100);
+  std::vector<RetransmitTimer::Due> due;
+  t.expired_into(1099, due);
+  EXPECT_TRUE(due.empty());  // deadline is now + 100
+  t.expired_into(1100, due);
   ASSERT_EQ(due.size(), 1u);
   EXPECT_EQ(due[0].dest, 1u);
   EXPECT_EQ(due[0].seq, 7u);
   EXPECT_EQ(due[0].retries, 1u);
   EXPECT_FALSE(due[0].exhausted);
   // Re-armed with exponential backoff: next deadline 1100 + 100*2.
-  EXPECT_TRUE(t.expired(1299).empty());
-  EXPECT_EQ(t.expired(1300).size(), 1u);
+  t.expired_into(1299, due);
+  EXPECT_TRUE(due.empty());
+  t.expired_into(1300, due);
+  EXPECT_EQ(due.size(), 1u);
 }
 
 TEST(RetransmitTimer, ExhaustsAfterMaxRetries) {
@@ -85,10 +89,12 @@ TEST(RetransmitTimer, ExhaustsAfterMaxRetries) {
   std::uint64_t now = 0;
   std::size_t fired = 0;
   bool exhausted = false;
+  std::vector<RetransmitTimer::Due> due;
   // March time far enough forward each step to beat any backoff.
   for (int i = 0; i < 10 && !exhausted; ++i) {
     now += 100000;
-    for (const auto& d : t.expired(now)) {
+    t.expired_into(now, due);
+    for (const auto& d : due) {
       ++fired;
       exhausted = d.exhausted;
     }
@@ -108,9 +114,11 @@ TEST(RetransmitTimer, DisarmCancelsAndRearmResetsRetries) {
   t.disarm_all(1);
   EXPECT_EQ(t.armed(), 1u);
   // Burn a retry, then re-arm: the retry count starts over.
-  EXPECT_EQ(t.expired(100).size(), 1u);
+  std::vector<RetransmitTimer::Due> due;
+  t.expired_into(100, due);
+  EXPECT_EQ(due.size(), 1u);
   t.arm(2, 1, 100);
-  auto due = t.expired(100000);
+  t.expired_into(100000, due);
   ASSERT_EQ(due.size(), 1u);
   EXPECT_EQ(due[0].retries, 1u);
 }
@@ -168,21 +176,24 @@ TEST(AckTracker, AccumulatesAndTakes) {
   EXPECT_EQ(t.due(1), 2u);
   EXPECT_EQ(t.due(2), 1u);
   EXPECT_EQ(t.total_due(), 3u);
-  auto taken = t.take(1, 1);
-  ASSERT_EQ(taken.size(), 1u);
+  std::uint32_t taken[5];
+  ASSERT_EQ(t.take_into(1, 1, taken), 1u);
   EXPECT_EQ(taken[0], 10u);  // oldest first
   EXPECT_EQ(t.due(1), 1u);
-  EXPECT_TRUE(t.take(3, 5).empty());
+  EXPECT_EQ(t.take_into(3, 5, taken), 0u);
 }
 
 TEST(AckTracker, PeersOverThreshold) {
   AckTracker t;
   for (int i = 0; i < 5; ++i) t.note(7, i);
   t.note(8, 1);
-  auto over = t.peers_over(3);
+  std::vector<NodeId> over;
+  t.peers_over_into(3, over);
   ASSERT_EQ(over.size(), 1u);
   EXPECT_EQ(over[0], 7u);
-  EXPECT_EQ(t.peers().size(), 2u);
+  std::vector<NodeId> peers;
+  t.peers_into(peers);
+  EXPECT_EQ(peers.size(), 2u);
 }
 
 FrameHeader frag_header(std::uint32_t msg, std::uint16_t idx,
