@@ -2,15 +2,15 @@
 //
 // Return-to-sender flow control with piggybacked acks (§4.5), segmentation
 // and reassembly, posted sends, and the opt-in FM-R reliability layer are
-// one protocol, run in two parts. A nonblocking core never waits: the
-// per-frame send step (a shut window or credit gate is Status::kAgain),
-// frame processing, rejects, the service pass (reject retries, standalone
-// and duplicate acks, the FM-R tick with its congestion-vs-death rule and
-// dead-peer purge, the reassembly TTL), the posted queue, fault injection
-// and the shared counters, gauges and trace events. A blocking driver (the
-// public send/extract/drain: the blocked-send wait, the backpressure loop,
-// drain, the posted-send drain, extract_until, idle_pause) sequences the
-// core and waits through the wire's idle primitive.
+// one protocol, run in two parts. A nonblocking core: the per-frame send
+// step (a shut window or credit gate is Status::kAgain), frame processing,
+// rejects, the service pass (reject retries, standalone and duplicate
+// acks, the FM-R tick with its congestion-vs-death rule and dead-peer
+// purge, the reassembly TTL), the posted queue, fault injection and the
+// shared counters, gauges and trace events. A blocking driver (the public
+// send/extract/drain: the blocked-send wait, drain, the posted-send drain,
+// extract_until, idle_pause, and push()'s backpressure loop, the one wait
+// the core can reach) sequences the core and waits through wire_idle().
 //
 // A backend contributes only a *wire adapter* (CRTP, so the per-frame path
 // has no indirect call) that moves frames and holds no protocol logic:
@@ -205,8 +205,10 @@ class Engine {
   void register_metrics(obs::Registry& reg);
 
   // The nonblocking core, as a driver sequences it. None of these calls
-  // waits; the blocking driver below and fm::SimEndpoint's coroutines are
-  // its two drivers.
+  // waits for the gate or the clock; the one wait they can reach is push()'s
+  // backpressure loop, entered only when a wire answers kFull. The public
+  // calls above are the blocking driver; fm::SimEndpoint's coroutines are
+  // the other one.
 
   /// A message on its way out, one frame per send_step().
   struct Outgoing {
