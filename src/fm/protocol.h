@@ -2,12 +2,12 @@
 //
 // These classes implement the return-to-sender flow control of §4.5 and the
 // segmentation/reassembly extension, free of any simulator or threading
-// concern, so the simulated endpoint (fm/sim_endpoint.h) and the real
-// shared-memory endpoint (shm/) share one protocol implementation — and one
-// set of protocol tests. The FM-R reliability additions (RetransmitTimer,
-// DedupFilter, reassembly expiry) live here too: they answer §4.5's "the
-// network is assumed to be reliable, or fault-tolerance must be provided by
-// a higher level protocol" — this is that higher level protocol.
+// concern, so fm::Engine (fm/engine.h) runs them for every backend — one
+// protocol implementation and one set of protocol tests. The FM-R
+// reliability additions (RetransmitTimer, DedupFilter, reassembly expiry)
+// live here too: they answer §4.5's "the network is assumed to be
+// reliable, or fault-tolerance must be provided by a higher level
+// protocol" — this is that higher level protocol.
 //
 // Time is a plain nanosecond count supplied by the caller (simulated time on
 // the sim backend, steady_clock on shm), so nothing here knows about clocks.
