@@ -152,7 +152,10 @@ LegResult run_leg(const LegSpec& spec) {
                                    serve::Server<E>::ResponseWriter& w) {
         w.reply(data, len);  // echo
       });
-      while (done[ep.id()].load() < spec.clients) srv.poll();
+      // Idle when a pass found nothing, so spare shards yield their core
+      // to the ranks that have work (shm's idle is a yield, net's a park).
+      while (done[ep.id()].load() < spec.clients)
+        if (srv.poll() == 0) ep.idle_pause();
       cluster.barrier([&] { ep.extract(); });
       ep.drain();
       cluster.publish(srv.registry());

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Builds everything, runs the full test suite, every figure/table bench,
-# the hot-path/serving trajectory benches (gated against the committed
-# perf trajectory), and all examples. This is the repository's one-command
-# verification.
+# Builds everything, runs the full test suite (which runs every example as
+# a ctest, label `example`), every figure/table bench, and the
+# hot-path/serving trajectory benches (gated against the committed perf
+# trajectory). This is the repository's one-command verification.
 #
 # Every step runs even if an earlier one failed — a mid-sequence bench
 # failure used to be easy to scroll past — and the script exits nonzero
@@ -80,18 +80,6 @@ run_trajectory_benches() {
   fi
 }
 step "hot-path benches + perf gate" run_trajectory_benches
-
-run_examples() {
-  local ok=0
-  ./build/examples/quickstart || ok=1
-  ./build/examples/pingpong_cluster || ok=1
-  ./build/examples/stencil_halo || ok=1
-  ./build/examples/mpi_collectives || ok=1
-  ./build/examples/stream_transfer 2 || ok=1
-  ./build/examples/bandwidth_probe 5000 || ok=1
-  return "$ok"
-}
-step "examples" run_examples
 
 if [ "${#failed_steps[@]}" -gt 0 ]; then
   echo ""

@@ -134,7 +134,13 @@ class ProtoModel : World {
 
  private:
   ModelRank& rank(NodeId r) { return r == 0 ? rank0_ : rank1_; }
-  bool live(NodeId r) const { return r == 0 || !p.kill_node1; }
+  // A silent peer falls quiet for good once it has delivered every message
+  // and owes no acks.
+  bool live(NodeId r) {
+    silenced_ = silenced_ || (p.silent_peer && !rank1_.owes_acks() &&
+                              rank1_.stats().messages_delivered == p.msgs);
+    return r == 0 || (!p.kill_node1 && !silenced_);
+  }
 
   // ---- the oracle --------------------------------------------------------
 
@@ -190,6 +196,7 @@ class ProtoModel : World {
       send_next(1);
     for (NodeId r = 0; r < 2; ++r)
       if (live(r)) rank(r).extract();
+    if (p.probe) rank0_.probe(1);
   }
 
   void adversarial_prefix() {
@@ -211,8 +218,10 @@ class ProtoModel : World {
       }
       for (NodeId r = 0; r < 2; ++r)
         if (can_drain(r)) moves.push_back([this, r] { rank(r).drain(); });
+      // With probes on, a tick is worth taking even with nothing in flight:
+      // it sends a probe the adversary can then lose or hold.
       if (ticks_ < kMaxAdversarialTicks &&
-          rank0_.unacked() + rank1_.unacked() > 0)
+          (p.probe || rank0_.unacked() + rank1_.unacked() > 0))
         moves.push_back([this] { tick(); });
       // An extract with no new arrival still re-injects parked rejects.
       for (NodeId r = 0; r < 2; ++r)
@@ -248,6 +257,8 @@ class ProtoModel : World {
 
   bool quiescent() {
     if (!net.empty()) return false;
+    // Rank 0 waits on a silent peer until it is declared dead.
+    if (p.silent_peer && !rank0_.peer_dead(1)) return false;
     for (NodeId r = 0; r < 2; ++r)
       if (live(r) && (!inbox[r].empty() || rank(r).unacked() > 0 ||
                       rank(r).reject_queue_depth() > 0 || can_send(r)))
@@ -284,6 +295,9 @@ class ProtoModel : World {
                "silent peer never declared dead");
       ex.check(s0.frames_discarded_dead == s0.frames_sent,
                "dead-peer convergence: some frames never purged");
+    } else if (p.silent_peer) {
+      ex.check(s0.peers_dead == 1, "silent peer never declared dead");
+      ex.check(c.balanced(), "conservation violated: a probe was counted");
     } else if (!p.both_send) {
       ex.check(c.peers_dead == 0, "live peer declared dead");
       ex.check(rank1_.stats().messages_delivered == p.msgs,
@@ -293,6 +307,7 @@ class ProtoModel : World {
 
   std::size_t faults_left_;
   std::size_t ticks_ = 0;
+  bool silenced_ = false;
   std::array<std::uint32_t, 2> next_msg_{};
   std::set<std::uint64_t> delivered_;  // oracle: (src << 32) | message id
   ModelRank rank0_;

@@ -24,7 +24,9 @@
 //  * dead-peer convergence (kill_node1 variant): a silent receiver is
 //    declared dead, nothing is delivered, and every sent frame is purged;
 //  * congestion is not death (audible_peer variant): a peer whose frames
-//    keep arriving is never declared dead, however many of ours are lost.
+//    keep arriving is never declared dead, however many of ours are lost;
+//  * a silent peer is found (silent_peer + probe): rank 0's liveness probes
+//    alone declare dead a peer that acked everything, then went quiet.
 //
 // A violation unwinds via Explorer::fail, so the enumerating test gets a
 // replayable decision trail (FM_CHK_SCHEDULE) pointing at the exact fault
@@ -66,6 +68,12 @@ struct ProtoParams {
   /// Rank 1 sends a message on every tick while rank 0 has frames in
   /// flight, and only rank 0's data frames may be dropped or held.
   bool audible_peer = false;
+  /// Rank 0 calls probe(1) on every tick, as a wait on rank 1 does on its
+  /// idle passes (fm::Engine::extract_until(peer, pred)).
+  bool probe = false;
+  /// Rank 1 delivers and acknowledges rank 0's messages, then processes
+  /// nothing; rank 0 waits on it until it is declared dead.
+  bool silent_peer = false;
 };
 
 /// Per-path outcome: each rank's engine counters at quiescence, for

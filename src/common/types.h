@@ -20,9 +20,12 @@ using HandlerId = std::uint16_t;
 /// Sentinel for "no node".
 inline constexpr NodeId kInvalidNode = 0xffffffffu;
 
-/// Sentinel for "no handler". Handler id 0 is reserved for internal
-/// control frames (pure acknowledgements, credit updates).
+/// Sentinel for "no handler".
 inline constexpr HandlerId kInvalidHandler = 0xffffu;
+
+/// Handler id 0, reserved for internal control frames: a zero-length data
+/// frame on it is an FM-R liveness probe (fm::Engine::probe).
+inline constexpr HandlerId kProbeHandler = 0;
 
 /// FM 1.0 frame size (bytes of payload per network frame). Section 5 of the
 /// paper: "Based on these considerations, we chose a 128-byte frame size for

@@ -105,6 +105,24 @@ class Engine {
       if (extract() == 0) idle_pause();
     }
   }
+  /// As extract_until(pred), waiting on `peer`: idle passes probe it (see
+  /// probe()), and the wait ends kPeerDead if FM-R declares it dead first.
+  template <typename Pred>
+  Status extract_until(NodeId peer, Pred&& pred) {
+    while (!pred()) {
+      if (peer_dead(peer)) return Status::kPeerDead;
+      if (extract() == 0) {
+        probe(peer);
+        idle_pause();
+      }
+    }
+    return Status::kOk;
+  }
+  /// FM-R's liveness probe (docs/PROTOCOL.md §7): a zero-length frame on
+  /// kProbeHandler, acked at once and never delivered, that gives the timer
+  /// something to judge a silent `peer` by. Never blocks; a no-op without
+  /// FM-R, or while an earlier probe is unanswered or the gate is shut.
+  FM_HOT_PATH void probe(NodeId peer);
   /// Extracts until all outstanding frames are acknowledged and the reject
   /// queue is empty; flushes owed acks so peers can drain too.
   void drain();
@@ -219,6 +237,8 @@ class Engine {
     std::uint32_t msg_id = 0;
     std::uint16_t next = 0;   // the next frame to send
     std::uint16_t frags = 1;  // more than one: segmented
+    std::uint32_t seq = 0;     // the last frame's seq (flow control)
+    bool nonblocking = false;  // drop on backpressure (see inject())
     bool done() const { return next == frags; }
   };
   /// Validates a send and counts the message sent; on kOk, `m` holds it.
@@ -370,6 +390,7 @@ class Engine {
   // congestion, not death — the frame re-arms with a fresh budget instead
   // of killing the peer (see reliability_tick).
   std::vector<std::uint64_t> last_heard_ns_;
+  std::vector<std::uint32_t> probe_seq_;   // each peer's last probe (0: none)
   std::vector<std::uint8_t> dup_ack_due_;  // peers that resent this pass
   std::uint64_t alive_grace_ns_ = 0;
   std::vector<Posted> posted_;
@@ -436,6 +457,7 @@ Engine<Wire>::Engine(NodeId id, std::size_t nodes, const FmConfig& cfg,
       credits_(nodes, cfg.window_mode ? cfg.window_per_peer : 0),
       dead_(nodes, 0),
       last_heard_ns_(nodes, 0),
+      probe_seq_(nodes, 0),
       dup_ack_due_(nodes, 0),
       alive_grace_ns_(RetransmitTimer::detection_horizon_ns(
           cfg.retransmit_timeout_ns, cfg.max_retries)),
@@ -616,7 +638,8 @@ Status Engine<Wire>::send_step(Outgoing& m) {
     if (cfg_.reliability) timer_.arm(dest, h.seq, now_ns());
     ++stats_.frames_sent;
     if (trace_.enabled()) trace_.event(now_ns(), cat_send_, 'i', dest, h.seq);
-    inject(dest, slot, wire_len, h.seq);
+    m.seq = h.seq;
+    inject(dest, slot, wire_len, h.seq, m.nonblocking);
     return Status::kOk;
   }
   // No flow control means no retained copy is needed: serialize into the
@@ -916,6 +939,21 @@ void Engine<Wire>::reliability_tick() {
 }
 
 template <class Wire>
+void Engine<Wire>::probe(NodeId peer) {
+  // A live peer silent for a timeout, with no earlier probe unanswered.
+  if (!cfg_.reliability || peer >= nodes_ || peer == id_ || dead_[peer] != 0 ||
+      now_ns() - last_heard_ns_[peer] < cfg_.retransmit_timeout_ns ||
+      window_.find(peer, probe_seq_[peer]).data != nullptr)
+    return;
+  // A zero-length frame, not a message; on backpressure the timer resends.
+  Outgoing m{peer, kProbeHandler};
+  m.nonblocking = true;
+  if (send_step(m) != Status::kOk) return;  // the gate is shut
+  probe_seq_[peer] = m.seq;
+  ++stats_.probes_sent;
+}
+
+template <class Wire>
 void Engine<Wire>::mark_peer_dead(NodeId peer) {
   trace_.assert_writer();  // single-threaded endpoint: we are the writer
   if (dead_[peer] != 0) return;
@@ -993,10 +1031,20 @@ void Engine<Wire>::process_frame(NodeId from, const std::uint8_t* data,
       break;
     }
     case FrameType::kData: {
-      // A corrupted-but-decodable frame can carry a garbage handler id;
-      // real FM would jump through a garbage function pointer, we drop
-      // (no ack, no dedup mark — FM-R's retransmission re-sources it).
       if (!handlers_.valid(h.handler)) {
+        // A liveness probe (see probe()) is not a message: never dispatched
+        // or counted, only marked seen (keeping the peer's seq stream dense)
+        // and acked at once, like a duplicate.
+        if (cfg_.reliability && h.handler == kProbeHandler &&
+            h.payload_len == 0 && !h.fragmented()) {
+          dedup_.mark(from, h.seq);
+          acks_.note(from, h.seq);
+          dup_ack_due_[from] = 1;
+          break;
+        }
+        // Otherwise a corrupted-but-decodable frame's garbage handler id:
+        // real FM would jump through a garbage function pointer, we drop
+        // (no ack, no dedup mark — FM-R's retransmission re-sources it).
         FM_CHECK_MSG(wire_may_corrupt(), "frame for an unregistered handler");
         ++stats_.malformed_frames;
         return;

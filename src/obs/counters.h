@@ -31,6 +31,7 @@ struct EndpointCounters {
   std::uint64_t crc_drops = 0;             ///< Frames failing CRC verification.
   std::uint64_t peers_dead = 0;            ///< Peers declared dead (max retries).
   std::uint64_t reassemblies_expired = 0;  ///< Half-assembled slots reclaimed.
+  std::uint64_t probes_sent = 0;           ///< Liveness probes at silent peers.
   // Conservation accounting (see Conservation below).
   std::uint64_t messages_abandoned = 0;   ///< Sends that failed at a dead peer
                                           ///< after being counted sent.
@@ -61,6 +62,7 @@ struct EndpointCounters {
     r.counter("crc_drops", &crc_drops);
     r.counter("peers_dead", &peers_dead);
     r.counter("reassemblies_expired", &reassemblies_expired);
+    r.counter("probes_sent", &probes_sent);
     r.counter("messages_abandoned", &messages_abandoned);
     r.counter("frames_discarded_dead", &frames_discarded_dead);
   }

@@ -42,7 +42,6 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/annotate.h"
@@ -88,7 +87,6 @@ enum class Op : std::uint32_t {
   kAcc = 12,       ///< Accumulate: payload = u64 addends.
   kFence = 13,     ///< Epoch close: len = async ops I sent you this epoch.
   kFenceAck = 14,  ///< Your fence's count is fully applied here.
-  kPing = 15,      ///< Liveness probe from a blocked wait; no-op at target.
 };
 
 /// Fixed preamble of every RMA message. Same-width fields, memcpy'd in and
@@ -167,7 +165,6 @@ class Engine {
     registry_.counter("rendezvous_bytes", &rendezvous_bytes_);
     registry_.counter("epoch_conflicts", &epoch_conflicts_);
     registry_.counter("ops_applied", &ops_applied_);
-    registry_.counter("probes_sent", &probes_sent_);
   }
 
   Engine(const Engine&) = delete;
@@ -229,10 +226,10 @@ class Engine {
   /// every async op this rank issued has been applied at its target and
   /// (b) every live peer's ops into this rank have been applied here. If a
   /// peer died mid-epoch the fence cannot complete toward it; the death is
-  /// detected via FM-R (the fence message itself forces traffic) and
-  /// surfaced as kPeerDead instead of a hang — FM-R must be enabled for
-  /// bounded detection (it is mandatory on net; enable it on shm when
-  /// ranks can die).
+  /// detected via FM-R (the fence message, then the wait's probes, give it
+  /// traffic to judge) and surfaced as kPeerDead instead of a hang — FM-R
+  /// must be enabled for bounded detection (it is mandatory on net; enable
+  /// it on shm when ranks can die).
   Status epoch_close() {
     FM_CHECK_MSG(epoch_open_, "epoch_close() without an open epoch");
     WireHeader h;
@@ -332,7 +329,8 @@ class Engine {
     h.len = len;
     std::memcpy(tx_msg_.data(), &h, sizeof h);
     Status s = ep_.send(dest, hid_, tx_msg_.data(), sizeof h);
-    if (ok(s)) s = wait_op(dest, [this] { return pending_put_.done; });
+    if (ok(s))
+      s = ep_.extract_until(dest, [this] { return pending_put_.done; });
     pending_put_.active = false;
     if (!ok(s)) return s;
     ++puts_completed_;
@@ -378,8 +376,8 @@ class Engine {
     pending_get_.requested = 0;
     pending_get_.received = 0;
     issue_get_reqs(tx_msg_.data());
-    const Status s =
-        wait_op(dest, [this] { return pending_get_.received >= pending_get_.total; });
+    const Status s = ep_.extract_until(
+        dest, [this] { return pending_get_.received >= pending_get_.total; });
     pending_get_.active = false;
     if (!ok(s)) return s;
     ++gets_completed_;
@@ -462,7 +460,8 @@ class Engine {
     h.aux = operand;
     std::memcpy(tx_msg_.data(), &h, sizeof h);
     Status s = ep_.send(dest, hid_, tx_msg_.data(), sizeof h);
-    if (ok(s)) s = wait_op(dest, [this] { return pending_faa_.done; });
+    if (ok(s))
+      s = ep_.extract_until(dest, [this] { return pending_faa_.done; });
     pending_faa_.active = false;
     if (!ok(s)) return s;
     if (old_out != nullptr) *old_out = pending_faa_.old_value;
@@ -574,11 +573,6 @@ class Engine {
   };
 
   static constexpr std::uint64_t kNoFence = ~std::uint64_t{0};
-  /// Idle-spin cadence between liveness probes from a blocked wait: low
-  /// enough that a silent dead peer is probed well inside any reasonable
-  /// FM-R detection horizon, high enough that a merely slow peer sees a
-  /// trickle of pings, not a flood.
-  static constexpr std::size_t kProbeIdleSpins = 4096;
 
   FM_HOT_PATH LocalRegion* local_region(std::uint32_t id) {
     for (std::size_t i = 0; i < n_local_; ++i)
@@ -600,62 +594,15 @@ class Engine {
       rendezvous_bytes_ += len;
   }
 
-  /// Blocks until pred() holds, servicing the network; kPeerDead if `peer`
-  /// dies first. Idle spins periodically re-probe the peer: FM-R detects a
-  /// death only through outstanding traffic, so a peer that frame-acked
-  /// everything we sent and *then* died would otherwise never be declared
-  /// dead and this wait would hang.
-  template <typename Pred>
-  FM_HOT_PATH Status wait_op(NodeId peer, Pred&& pred) {
-    std::size_t idle = 0;
-    while (!pred()) {
-      if (ep_.peer_dead(peer)) return Status::kPeerDead;
-      if (ep_.extract() == 0) {
-        if (++idle % kProbeIdleSpins == 0) probe(peer);
-        std::this_thread::yield();
-      }
-    }
-    return Status::kOk;
-  }
-
-  /// Collective wait: pred(p) per live peer; dead peers are skipped and
-  /// reported as kPeerDead once everything reachable finished. Peers still
-  /// blocking the wait are probed on the same idle cadence as wait_op, for
-  /// the same reason.
+  /// Collective wait: pred(p) for every live peer, one at a time (each wait
+  /// probes its peer); kPeerDead if any peer is dead at the end.
   template <typename Pred>
   Status wait_all(Pred&& pred) {
-    bool saw_dead = false;
-    std::size_t idle = 0;
-    for (;;) {
-      bool done = true;
-      saw_dead = false;
-      const bool probing = (++idle % kProbeIdleSpins) == 0;
-      for (NodeId p = 0; p < nodes_; ++p) {
-        if (p == me_) continue;
-        if (ep_.peer_dead(p)) {
-          saw_dead = true;
-          continue;
-        }
-        if (pred(p)) continue;
-        done = false;
-        if (probing) probe(p);
-      }
-      if (done) break;
-      if (ep_.extract() == 0) std::this_thread::yield();
-    }
-    return saw_dead ? Status::kPeerDead : Status::kOk;
-  }
-
-  /// Sends a kPing to `p`. The payload is irrelevant — the armed FM-R
-  /// timer is the probe: a dead peer never acks, the retries exhaust, and
-  /// the endpoint declares the death the enclosing wait is watching for.
-  FM_HOT_PATH void probe(NodeId p) {
-    WireHeader h;
-    h.op = static_cast<std::uint32_t>(Op::kPing);
-    h.epoch = epoch_;
-    std::memcpy(tx_msg_.data(), &h, sizeof h);
-    ++probes_sent_;
-    (void)ep_.send(p, hid_, tx_msg_.data(), sizeof h);
+    for (NodeId p = 0; p < nodes_; ++p)
+      if (p != me_) (void)ep_.extract_until(p, [&] { return pred(p); });
+    for (NodeId p = 0; p < nodes_; ++p)
+      if (p != me_ && ep_.peer_dead(p)) return Status::kPeerDead;
+    return Status::kOk;
   }
 
   /// Deposit sink callback (runs inside the endpoint's reassembler on the
@@ -808,10 +755,6 @@ class Engine {
         return;
       case Op::kFenceAck:
         fence_acked_by_[src] = 1;
-        return;
-      case Op::kPing:
-        // A blocked peer probing our liveness. The FM layer's frame-level
-        // ack is the whole point; nothing to do at RMA level.
         return;
       default:
         break;
@@ -1078,7 +1021,6 @@ class Engine {
   std::uint64_t rendezvous_bytes_ = 0;
   std::uint64_t epoch_conflicts_ = 0;
   std::uint64_t ops_applied_ = 0;
-  std::uint64_t probes_sent_ = 0;
   /// Declared last: gauges/counters reference the members above.
   obs::Registry registry_;
 };

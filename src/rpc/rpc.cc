@@ -176,7 +176,10 @@ void Future::cancel() {
 }
 
 std::vector<std::uint8_t>& Future::wait() {
-  engine_->ep_.extract_until([this] { return ready(); });
+  // A wait on the (probed) target. ready() sweeps after every extract, so
+  // a verdict resolves the call before extract_until could see it.
+  (void)engine_->ep_.extract_until(engine_->find(call_id_)->target,
+                                   [this] { return ready(); });
   RpcEngine::PendingCall* pc = engine_->find(call_id_);
   FM_CHECK_MSG(pc->status == Status::kOk,
                "rpc call failed; use wait_result() for fallible calls");
@@ -184,7 +187,8 @@ std::vector<std::uint8_t>& Future::wait() {
 }
 
 Status Future::wait_result(std::vector<std::uint8_t>& out) {
-  engine_->ep_.extract_until([this] { return ready(); });
+  (void)engine_->ep_.extract_until(engine_->find(call_id_)->target,
+                                   [this] { return ready(); });
   auto it = engine_->pending_.find(call_id_);
   const Status st = it->second.status;
   if (st == Status::kOk) out = std::move(it->second.reply);

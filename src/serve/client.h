@@ -21,9 +21,9 @@
 //                        per-session ordering is guaranteed within an
 //                        epoch, which is exactly what survives a shard
 //                        loss.
-//   liveness             A session blocked on a silent shard emits kPing
-//                        probes so FM-R's retransmit/dead-peer machinery
-//                        has traffic to judge (the RMA engine's trick).
+//   liveness             The sweep probes every shard with calls in
+//                        flight (fm::Engine::probe), so FM-R judges a
+//                        shard that fell silent after acking them.
 //
 // Completions are delivered through ONE callback, set once, in per-session
 // issue order (ordered release): a later response never fires before an
@@ -94,7 +94,6 @@ class Client {
     streams_.resize(cfg_.client_max_streams);
     for (Stream& s : streams_) s.buf.resize(cfg_.max_response_bytes);
     tx_buf_.resize(kWireHeaderBytes + cfg_.max_request_bytes);
-    last_ping_.resize(n_shards_, 0);
     counters_.register_into(registry_);
     registry_.gauge("inflight", [this] {
       return static_cast<double>(calls_.size() - call_free_len_);
@@ -578,13 +577,7 @@ class Client {
         on_shard_dead(sh);
         continue;
       }
-      if (any_on_shard[sh] && !ep_.peer_dead(static_cast<NodeId>(sh)) &&
-          t - last_ping_[sh] >= cfg_.ping_interval_ns) {
-        last_ping_[sh] = t;
-        if (send_ctl(static_cast<NodeId>(sh), Op::kPing, 0, 0, 0, 0, 0) ==
-            Status::kOk)
-          ++counters_.pings_sent;
-      }
+      if (any_on_shard[sh]) ep_.probe(static_cast<NodeId>(sh));
     }
   }
 
@@ -655,7 +648,6 @@ class Client {
   std::size_t call_free_len_ = 0;
   std::vector<Stream> streams_;
   std::vector<std::uint8_t> tx_buf_;  // header+payload staging
-  std::vector<std::uint64_t> last_ping_;
   std::uint64_t last_sweep_ = 0;
   ClientCounters counters_;
   // Declared last: gauges reference the members above (destroy first).

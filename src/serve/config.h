@@ -86,11 +86,6 @@ struct ServeConfig {
 
   /// How often the client's poll() runs its deadline/liveness sweep.
   std::uint64_t sweep_interval_ns = 100'000;  // 100 us
-
-  /// Minimum spacing between liveness probes (kPing) at one stuck shard.
-  /// Pings keep FM-R traffic flowing at a silent peer so dead-peer
-  /// detection can trip (the RMA engine's trick, PROTOCOL.md §10).
-  std::uint64_t ping_interval_ns = 500'000;  // 500 us
 };
 
 }  // namespace fm::serve

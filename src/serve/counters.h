@@ -82,7 +82,6 @@ struct ClientCounters {
   std::uint64_t calls_cancelled = 0;     ///< Completed kCancelled (caller).
   std::uint64_t cancels_sent = 0;        ///< kCancel messages issued.
   std::uint64_t rebalances = 0;          ///< Sessions moved to a new shard.
-  std::uint64_t pings_sent = 0;          ///< Liveness probes at stuck shards.
   std::uint64_t credits_sent = 0;        ///< kCredit grants issued.
   std::uint64_t chunks_received = 0;     ///< kStreamChunk messages received.
   std::uint64_t drain_advisories = 0;    ///< kDrainAdv / draining sheds seen.
@@ -100,7 +99,6 @@ struct ClientCounters {
     r.counter("calls_cancelled", &calls_cancelled);
     r.counter("cancels_sent", &cancels_sent);
     r.counter("rebalances", &rebalances);
-    r.counter("pings_sent", &pings_sent);
     r.counter("credits_sent", &credits_sent);
     r.counter("chunks_received", &chunks_received);
     r.counter("drain_advisories", &drain_advisories);

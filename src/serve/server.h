@@ -289,8 +289,6 @@ class Server {
       case Op::kCredit:
         on_credit(src, h);
         break;
-      case Op::kPing:
-        break;  // liveness probe: the transport's acks are the answer
       default:
         FM_UNREACHABLE("bad serve op at server");
     }

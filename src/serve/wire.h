@@ -35,10 +35,6 @@ enum class Op : std::uint16_t {
   kCredit = 8,       ///< Client -> shard: grant `aux` more chunks.
   kDrainAdv = 9,     ///< Shard -> client: this shard is draining; move new
                      ///< traffic elsewhere (existing inflight completes).
-  kPing = 10,        ///< Client -> shard: liveness probe from a stuck wait.
-                     ///< No-op at the target; its FM-R acks (or their
-                     ///< absence) are the information, exactly like the
-                     ///< RMA engine's kPing (PROTOCOL.md §10).
 };
 
 /// Why a kShed reply refused the request (WireHeader::flags).

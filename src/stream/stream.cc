@@ -34,8 +34,8 @@ bool Connection::write(const void* buf, std::size_t len) {
     // Respect the peer's window: block (servicing the endpoint) until the
     // receiver grants more credit. A dead-peer verdict breaks the wait —
     // credit from a dead receiver is never coming.
-    mgr_.ep_.extract_until(
-        [&] { return tx_credit_ >= n || peer_fin_ || peer_dead(); });
+    (void)mgr_.ep_.extract_until(
+        peer_, [&] { return tx_credit_ >= n || peer_fin_; });
     if (tx_credit_ < n) return false;  // peer went away
     tx_credit_ -= n;
     mgr_.send_msg(peer_, StreamMgr::Type::kData, peer_id_, tx_seq_++,
@@ -49,8 +49,8 @@ bool Connection::peer_dead() const { return mgr_.ep_.peer_dead(peer_); }
 
 std::size_t Connection::read(void* buf, std::size_t maxlen) {
   if (maxlen == 0) return 0;
-  mgr_.ep_.extract_until(
-      [&] { return !rx_buffer_.empty() || peer_fin_ || peer_dead(); });
+  (void)mgr_.ep_.extract_until(
+      peer_, [&] { return !rx_buffer_.empty() || peer_fin_; });
   if (rx_buffer_.empty()) return 0;  // EOF (orderly or broken)
   std::size_t n = std::min(maxlen, rx_buffer_.size());
   auto* out = static_cast<std::uint8_t*>(buf);
@@ -74,14 +74,12 @@ Status Connection::read_deadline(void* buf, std::size_t maxlen,
   *n = 0;
   if (maxlen == 0) return Status::kOk;
   const std::uint64_t limit = now_ns() + deadline_ns;
-  mgr_.ep_.extract_until([&] {
-    return !rx_buffer_.empty() || peer_fin_ || peer_dead() ||
-           now_ns() >= limit;
+  const Status s = mgr_.ep_.extract_until(peer_, [&] {
+    return !rx_buffer_.empty() || peer_fin_ || now_ns() >= limit;
   });
   if (rx_buffer_.empty()) {
     if (peer_fin_) return Status::kOk;  // EOF, *n = 0
-    if (peer_dead()) return Status::kPeerDead;
-    return Status::kDeadline;
+    return ok(s) ? Status::kDeadline : s;
   }
   *n = read(buf, maxlen);  // buffered data: completes without blocking
   return Status::kOk;
@@ -132,7 +130,7 @@ Connection& StreamMgr::connect(NodeId peer, std::uint16_t port) {
   send_msg(peer, Type::kSyn, port, conn.id_, nullptr, 0);
   // Block until the SYN_ACK fills in the peer's connection id. A dead-peer
   // verdict turns an infinite hang into a diagnosable failure.
-  ep_.extract_until([&] { return conn.peer_id_ != 0 || ep_.peer_dead(peer); });
+  (void)ep_.extract_until(peer, [&] { return conn.peer_id_ != 0; });
   FM_CHECK_MSG(conn.peer_id_ != 0, "connect(): peer declared dead");
   return conn;
 }
@@ -142,9 +140,8 @@ Connection* StreamMgr::try_connect(NodeId peer, std::uint16_t port,
   Connection& conn = alloc_connection(peer, /*peer_id=*/0);
   send_msg(peer, Type::kSyn, port, conn.id_, nullptr, 0);
   const std::uint64_t limit = now_ns() + deadline_ns;
-  ep_.extract_until([&] {
-    return conn.peer_id_ != 0 || ep_.peer_dead(peer) || now_ns() >= limit;
-  });
+  (void)ep_.extract_until(
+      peer, [&] { return conn.peer_id_ != 0 || now_ns() >= limit; });
   if (conn.peer_id_ == 0) {
     connections_.erase(conn.id_);
     return nullptr;

@@ -2,7 +2,8 @@
 // bounded 2-rank model admits (chk/proto_model.h), two real fm::Engines
 // over a model wire, with the FM-R invariants — exactly-once, sent ==
 // delivered + abandoned conservation, quiescence, dead-peer convergence,
-// congestion-is-not-death — checked on every path.
+// congestion-is-not-death, a silent peer found by the liveness probe —
+// checked on every path.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -21,6 +22,7 @@ struct Aggregate {
   std::uint64_t abandoned = 0;
   std::uint64_t dead_paths = 0;
   std::uint64_t max_timeouts = 0;  // most timer firings one rank took
+  std::uint64_t probes = 0;
 
   void add(const ProtoStats& s) {
     for (const obs::EndpointCounters& c : s) {
@@ -29,6 +31,7 @@ struct Aggregate {
       retransmits += c.retransmit_timeouts;
       abandoned += c.frames_discarded_dead;
       max_timeouts = std::max(max_timeouts, c.retransmit_timeouts);
+      probes += c.probes_sent;
     }
     dead_paths += s[0].peers_dead + s[1].peers_dead > 0 ? 1 : 0;
   }
@@ -150,6 +153,53 @@ TEST(ChkProto, AudiblePeerIsNeverDeclaredDead) {
   EXPECT_GT(res.paths_explored, 1u);
   EXPECT_GT(agg.max_timeouts, p.cfg.max_retries)
       << "no explored schedule ran a retry budget out against rank 1";
+  EXPECT_EQ(agg.dead_paths, 0u);
+}
+
+TEST(ChkProto, SilentPeerIsDeclaredDeadByTheProbe) {
+  // Rank 1 delivers and acks rank 0's message, then goes quiet: nothing of
+  // rank 0's is left in flight for FM-R to time out, on any schedule where
+  // the ack got through. Rank 0's probes must still reach a verdict, and a
+  // probe is not a message, so the books balance with rank 1 dead.
+  ProtoParams p;
+  p.silent_peer = true;
+  p.probe = true;
+  p.fault_budget = 1;
+  p.depth = 5;
+  Aggregate agg;
+  const Explorer::Result res = enumerate("proto-silent-peer", p, &agg);
+  EXPECT_FALSE(res.violation) << res.message << "\n  replay: " << res.schedule;
+  EXPECT_GT(res.paths_explored, 1u);
+  EXPECT_EQ(agg.dead_paths, res.paths_explored);
+  EXPECT_GT(agg.probes, 0u);
+}
+
+TEST(ChkProto, SilentPeerIsNeverFoundWithoutTheProbe) {
+  // The same model with the probe switched off: FM-R alone cannot judge a
+  // peer it has nothing in flight to, so some schedule never ends.
+  ProtoParams p;
+  p.silent_peer = true;
+  p.fault_budget = 1;
+  p.depth = 5;
+  Aggregate agg;
+  const Explorer::Result res = enumerate("proto-silent-peer-unprobed", p, &agg);
+  EXPECT_TRUE(res.violation);
+}
+
+TEST(ChkProto, AudiblePeerIsNeverDeclaredDeadByProbes) {
+  // Probes are data frames the adversary may lose or hold too: a peer that
+  // keeps talking is still never declared dead.
+  ProtoParams p;
+  p.cfg.max_retries = 1;
+  p.audible_peer = true;
+  p.probe = true;
+  p.fault_budget = p.cfg.max_retries + 1;
+  p.depth = 6;
+  Aggregate agg;
+  const Explorer::Result res = enumerate("proto-audible-probed", p, &agg);
+  EXPECT_FALSE(res.violation) << res.message << "\n  replay: " << res.schedule;
+  EXPECT_GT(res.paths_explored, 1u);
+  EXPECT_GT(agg.probes, 0u);
   EXPECT_EQ(agg.dead_paths, 0u);
 }
 

@@ -13,12 +13,15 @@
 // against a peer heard from within one detection horizon is re-armed, and
 // the peer is not declared dead; only a horizon of silence kills it. Once
 // it is dead, the verdict is final: frames still arriving from it are
-// discarded, never delivered a second time.
+// discarded, never delivered a second time. A wait on a peer with nothing
+// in flight to it probes the peer once it falls silent, so the same rule
+// still reaches a verdict.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,6 +45,9 @@ struct FakeWire {
   /// release() stops holding and lets the held frames through.
   bool hold = false;
   std::vector<std::pair<NodeId, std::vector<std::uint8_t>>> held;
+  /// Runs on every idle pause: the test's way of letting time pass (and
+  /// the peer act) while an engine waits.
+  std::function<void()> on_idle;
 
   void release() {
     hold = false;
@@ -103,7 +109,9 @@ class FakeEndpoint : public Engine<FakeEndpoint> {
   }
 
   std::size_t wire_flush() { return 0; }
-  void wire_idle() {}
+  void wire_idle() {
+    if (medium_.on_idle) medium_.on_idle();
+  }
   std::uint64_t wire_clock_ns() const { return medium_.now_ns; }
 
   FakeWire& medium_;
@@ -230,6 +238,74 @@ TEST_F(EngineLiveness, FramesFromAPeerDeclaredDeadAreDiscarded) {
       << "a retransmission from a peer declared dead was delivered again";
   EXPECT_GT(b_.stats().frames_discarded_dead, discarded);
   EXPECT_EQ(a_.stats().messages_delivered, 0u);
+}
+
+TEST_F(EngineLiveness, WaitOnAPeerThatAckedEverythingEndsPeerDead) {
+  // Node 1 delivers and acks node 0's message, then stops for good (a
+  // killed rank): nothing of node 0's is left in flight to time out, so
+  // only the wait's probe can reach a verdict.
+  wire_.drop_data_0_to_1 = false;
+  ASSERT_TRUE(ok(a_.send4(1, h_, 9, 9, 9, 9)));
+  b_.extract();
+  b_.drain();  // flushes the ack, short of the batch threshold
+  a_.extract();
+  ASSERT_EQ(a_.unacked(), 0u);
+  ASSERT_EQ(b_.stats().messages_delivered, 1u);
+  const std::uint64_t last_heard = wire_.now_ns;
+
+  wire_.on_idle = [this] { wire_.now_ns += kStep; };
+  const std::uint64_t give_up = last_heard + 4 * horizon();
+  EXPECT_EQ(a_.extract_until(1, [&] { return wire_.now_ns >= give_up; }),
+            Status::kPeerDead);
+  EXPECT_TRUE(a_.peer_dead(1));
+  EXPECT_LE(wire_.now_ns - last_heard, 2 * horizon())
+      << "detected " << (wire_.now_ns - last_heard) << " ns after silence; "
+      << "horizon " << horizon() << " ns";
+  EXPECT_GE(a_.stats().probes_sent, 1u);
+  // A probe is not a message: the books balance with the peer dead.
+  obs::Conservation c;
+  c.add(a_.stats());
+  c.add(b_.stats());
+  EXPECT_TRUE(c.balanced()) << "imbalance " << c.imbalance();
+}
+
+TEST_F(EngineLiveness, QuietPeerThatKeepsExtractingAnswersEveryProbe) {
+  // Node 1 never sends anything, but it services its endpoint on every
+  // tick, so each probe is acked within one step.
+  wire_.drop_data_0_to_1 = false;
+  wire_.on_idle = [this] {
+    wire_.now_ns += kStep;
+    b_.extract();
+  };
+  const std::uint64_t end = wire_.now_ns + 10 * horizon();
+  EXPECT_EQ(a_.extract_until(1, [&] { return wire_.now_ns >= end; }),
+            Status::kOk);
+  EXPECT_FALSE(a_.peer_dead(1));
+  EXPECT_GE(a_.stats().probes_sent, 10u) << "at least one probe a horizon";
+  EXPECT_EQ(a_.stats().retransmissions, 0u) << "an answered probe is acked "
+                                               "before its timer fires";
+  EXPECT_EQ(a_.unacked(), 0u);
+  EXPECT_EQ(b_.stats().frames_received, a_.stats().probes_sent);
+  EXPECT_EQ(b_.stats().messages_delivered, 0u) << "a probe was dispatched";
+  EXPECT_EQ(b_.stats().malformed_frames, 0u);
+  EXPECT_EQ(a_.stats().messages_sent, 0u);
+}
+
+TEST(EngineProbe, NothingIsSentWithoutReliability) {
+  FakeWire wire;
+  const FmConfig cfg;  // FM-R off
+  FakeEndpoint a(wire, 0, cfg);
+  FakeEndpoint b(wire, 1, cfg);
+  wire.on_idle = [&] {
+    wire.now_ns += 125'000;
+    b.extract();
+  };
+  const std::uint64_t end = wire.now_ns + 150'000'000;
+  EXPECT_EQ(a.extract_until(1, [&] { return wire.now_ns >= end; }),
+            Status::kOk);
+  EXPECT_EQ(a.stats().probes_sent, 0u);
+  EXPECT_EQ(a.stats().frames_sent, 0u);
+  EXPECT_EQ(b.stats().frames_received, 0u);
 }
 
 // The nonblocking core's send step over the same wire: a message longer

@@ -76,10 +76,11 @@ TEST(Registry, EndpointCountersRegisterEveryField) {
   Registry r("ep");
   c.register_into(r);
   auto snap = r.snapshot();
-  EXPECT_EQ(snap.size(), 17u);
+  EXPECT_EQ(snap.size(), 18u);
   EXPECT_DOUBLE_EQ(find(snap, "ep.frames_sent")->value, 3.0);
   EXPECT_DOUBLE_EQ(find(snap, "ep.messages_abandoned")->value, 2.0);
   EXPECT_DOUBLE_EQ(find(snap, "ep.crc_drops")->value, 0.0);
+  EXPECT_DOUBLE_EQ(find(snap, "ep.probes_sent")->value, 0.0);
 }
 
 TEST(Conservation, BalancedWhenEveryMessageAccounted) {

@@ -1,11 +1,12 @@
 // FM-San chaos leg for FM-Serve: a shard dies mid-run (SIGKILL for a
 // forked net rank, protocol death for an shm thread). The invariants under
 // test are the plane's failure semantics — the victim's inflight calls
-// drain kPeerDead via FM-R's bounded dead-peer verdict (the client's kPing
-// probes guarantee there is traffic to judge), its sessions rehash onto the
-// surviving shard with a fresh epoch, per-session kOk cookie order survives
-// the failover, and the survivor keeps serving throughout. Nothing hangs:
-// the net watchdog turns a wedged run into a timed-out report.
+// drain kPeerDead via FM-R's bounded dead-peer verdict (the client
+// endpoint's liveness probes guarantee there is traffic to judge), its
+// sessions rehash onto the surviving shard with a fresh epoch, per-session
+// kOk cookie order survives the failover, and the survivor keeps serving
+// throughout. Nothing hangs: the net watchdog turns a wedged run into a
+// timed-out report.
 #include "serve/client.h"
 #include "serve/server.h"
 
@@ -145,7 +146,7 @@ TYPED_TEST(ServeChaos, KilledShardDrainsPeerDeadAndSessionsFailOver) {
     EXPECT_GE(cli.counters().rebalances, kSessions / kShards)
         << "the victim's sessions never rehashed";
     EXPECT_EQ(cli.counters().calls_completed, kSessions * kOksPer);
-    EXPECT_GE(cli.counters().pings_sent, 1u);
+    EXPECT_GE(ep.stats().probes_sent, 1u);
 
     while (ep.send4(kSurvivor, halt_id, 0, 0, 0, 0) == Status::kAgain)
       ep.extract();

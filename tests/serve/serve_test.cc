@@ -375,6 +375,9 @@ TYPED_TEST(ServeTyped, OversizeRequestShedsRemotelyBacksOffThenRecovers) {
     if (ep.id() == 0) {
       ServeConfig scfg;
       scfg.max_request_bytes = 64;  // tighter than the client's bound
+      // Long enough that the client's immediate retry below lands inside
+      // the backoff however slowly the build runs.
+      scfg.retry_after_us = 200'000;
       Server<E> srv(ep, scfg);
       srv.register_method([](NodeId, std::uint64_t, const void* d,
                              std::size_t n,

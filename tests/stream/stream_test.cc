@@ -1,5 +1,6 @@
 // Tests of the byte-stream layer over FM (connect/accept, ordered delivery,
-// windowed flow control, EOF semantics, bidirectional traffic).
+// windowed flow control, EOF semantics, bidirectional traffic, a dead
+// writer).
 #include "stream/stream.h"
 
 #include <gtest/gtest.h>
@@ -210,6 +211,41 @@ TEST(Stream, SurvivesFmLevelReorderingViaTinyReassemblyPool) {
     }
   });
   EXPECT_TRUE(match);
+}
+
+TEST(Stream, ReaderOfAWriterThatFellSilentGetsPeerDead) {
+  // The writer's bytes arrive and are acked, then it stops for good without
+  // a FIN (a killed rank). Nothing of the reader's is in flight to it, so
+  // only the wait's liveness probe gives FM-R something to judge.
+  FmConfig cfg;
+  cfg.reliability = true;
+  cfg.retransmit_timeout_ns = 1'000'000;  // 1 ms
+  cfg.max_retries = 3;
+  const std::uint64_t horizon = RetransmitTimer::detection_horizon_ns(
+      cfg.retransmit_timeout_ns, cfg.max_retries);
+  shm::Cluster cluster(2, cfg);
+  Status st = Status::kOk;
+  bool dead = false;
+  std::size_t n = 1;
+  cluster.run([&](shm::Endpoint& ep) {
+    StreamMgr mgr(ep);
+    std::uint8_t buf[64] = {};
+    if (ep.id() == 0) {
+      mgr.listen(5);
+      Connection& c = mgr.accept(5);
+      EXPECT_EQ(c.read_exact(buf, sizeof buf), sizeof buf);
+      ep.drain();  // acks everything the writer sent
+      st = c.read_deadline(buf, sizeof buf, &n, 100 * horizon);
+      dead = c.peer_dead();
+    } else {
+      Connection& c = mgr.connect(0, 5);
+      EXPECT_TRUE(c.write(buf, sizeof buf));
+      ep.drain();  // then never extracts again
+    }
+  });
+  EXPECT_EQ(st, Status::kPeerDead);
+  EXPECT_TRUE(dead);
+  EXPECT_EQ(n, 0u);
 }
 
 }  // namespace
