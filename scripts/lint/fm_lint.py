@@ -22,11 +22,13 @@ Checks the conventions the compilers cannot:
                   (sim|shm|net|lanai|san|rma|serve), and every registered name
                   must be documented in docs/OBSERVABILITY.md.
   pragma-once     Headers under src/ must carry `#pragma once`.
-  chk-atomic      Bare `std::atomic` is banned in the model-checked zones
-                  (src/shm, src/fm): shared state there must go through
-                  the fm::chk::atomic seam (src/chk/shim.h) so FM-Check
-                  can instrument it. In production builds the seam is a
-                  type alias for std::atomic — zero cost, full coverage.
+  chk-atomic      Bare `std::atomic` / `std::atomic_ref` is banned in the
+                  model-checked zones (src/shm, src/fm): shared state
+                  there must go through the fm::chk::atomic /
+                  fm::chk::atomic_ref seam (src/chk/shim.h) so FM-Check
+                  can instrument it. In production builds the seam types
+                  are aliases for the std types — zero cost, full
+                  coverage.
 
 Suppression: a finding on line N is waived by a comment on line N (or on
 an immediately preceding comment-only line):
@@ -301,7 +303,7 @@ def check_counter_scope(sf: SourceFile, documented: str) -> list[Finding]:
 # Rule: chk-atomic.
 # ---------------------------------------------------------------------------
 
-STD_ATOMIC_RE = re.compile(r"\bstd\s*::\s*atomic\b")
+STD_ATOMIC_RE = re.compile(r"\bstd\s*::\s*atomic(?:_ref)?\b")
 
 
 def check_chk_atomic(sf: SourceFile, scoped_dirs: list[str]) -> list[Finding]:
@@ -309,11 +311,12 @@ def check_chk_atomic(sf: SourceFile, scoped_dirs: list[str]) -> list[Finding]:
 
     FM-Check (src/chk) explores thread interleavings by routing every
     atomic access through a cooperative scheduler — but only for state
-    declared as fm::chk::atomic<T>. A bare std::atomic in src/shm or
-    src/fm is invisible to the explorer: its races are simply never
-    modeled. The seam costs nothing in production (chk::atomic IS
-    std::atomic there, proven by static_assert in tests/chk), so there is
-    no reason to opt out silently.
+    declared as fm::chk::atomic<T> or accessed through
+    fm::chk::atomic_ref<T>. A bare std::atomic or std::atomic_ref in
+    src/shm or src/fm is invisible to the explorer: its races are simply
+    never modeled. The seam costs nothing in production (the chk types
+    ARE the std types there, proven by static_assert in tests/chk), so
+    there is no reason to opt out silently.
     """
     abs_path = os.path.abspath(sf.path)
     if not any(abs_path.startswith(d.rstrip(os.sep) + os.sep)
@@ -328,8 +331,9 @@ def check_chk_atomic(sf: SourceFile, scoped_dirs: list[str]) -> list[Finding]:
         findings.append(Finding(
             sf.path, idx, "chk-atomic",
             "bare std::atomic in a model-checked zone; use fm::chk::atomic "
-            "(src/chk/shim.h) so FM-Check can explore its interleavings — "
-            "it is std::atomic in production builds"))
+            "or fm::chk::atomic_ref (src/chk/shim.h) so FM-Check can "
+            "explore its interleavings — they are the std types in "
+            "production builds"))
     return findings
 
 

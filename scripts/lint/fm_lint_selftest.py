@@ -119,15 +119,16 @@ def main() -> int:
     atomic_fixture = os.path.join(FIXTURES, "atomic_bad.h")
     rc, out = run_lint("--chk-atomic-dirs", FIXTURES, atomic_fixture)
     expect(rc != 0, "exits nonzero", out, failures)
-    expect(out.count("chk-atomic") == 2,
+    expect(out.count("chk-atomic") == 3,
            "flags both bare std::atomic members (plain and spaced "
-           "qualifier), and only those", out, failures)
+           "qualifier) and the bare std::atomic_ref, and only those",
+           out, failures)
     expect("fm::chk::atomic" in out,
            "message points at the seam type", out, failures)
     # The dotted allow spelling normalizes to chk-atomic and suppresses
-    # (frozen member), and the seam-typed member never matches; neither
-    # may add a finding beyond the two above, and the allow itself must
-    # not be flagged as malformed.
+    # (frozen member), and the seam types never match; none of them may
+    # add a finding beyond the three above, and the allow itself must not
+    # be flagged as malformed.
     expect("bad-allow" not in out,
            "allow(chk.atomic) with justification is well-formed",
            out, failures)

@@ -18,6 +18,10 @@
 //  * `chk::atomic<T>` for every atomic a hot structure shares between
 //    threads (enforced by fm_lint's `chk-atomic` rule over src/shm and
 //    src/fm).
+//  * `chk::atomic_ref<T>` for an atomic word that lives inside shared
+//    memory rather than in a member (a ring slot's publish stamp). It IS
+//    `std::atomic_ref<T>` in production; under the model its loads and
+//    stores are scheduler decision points like chk::atomic's.
 //  * `chk::shared_write` / `chk::shared_read` for byte copies into/out of
 //    memory another thread will read/wrote (ring slots). Copies private to
 //    one thread stay plain std::memcpy.
@@ -46,6 +50,10 @@ namespace fm::chk {
 /// Production: the seam is the real thing.
 template <typename T>
 using atomic = std::atomic<T>;
+
+/// Production: atomic access to a word in plain shared memory.
+template <typename T>
+using atomic_ref = std::atomic_ref<T>;
 
 /// Copy bytes into memory a peer thread will read (producer -> slot).
 inline void shared_write(void* dst, const void* src, std::size_t n) {
@@ -141,6 +149,28 @@ class atomic {
 
  private:
   mutable T v_{};
+};
+
+/// Model-checked atomic_ref: the std::atomic_ref load/store subset, each a
+/// scheduler decision point on the referenced word (which stays in plain
+/// storage, as with atomic<T> above).
+template <typename T>
+class atomic_ref {
+ public:
+  explicit atomic_ref(T& obj) noexcept : p_(&obj) {}
+
+  T load(std::memory_order mo = std::memory_order_seq_cst) const {
+    T out;
+    rt::on_load(p_, &out, sizeof(T), detail::to_order(mo));
+    return out;
+  }
+
+  void store(T v, std::memory_order mo = std::memory_order_seq_cst) const {
+    rt::on_store(p_, &v, sizeof(T), detail::to_order(mo));
+  }
+
+ private:
+  T* p_;
 };
 
 inline void shared_write(void* dst, const void* src, std::size_t n) {

@@ -92,7 +92,9 @@ class Engine {
   FM_HOT_PATH Status send4(NodeId dest, HandlerId handler, std::uint32_t w0,
                            std::uint32_t w1, std::uint32_t w2,
                            std::uint32_t w3);
-  /// FM_send (segments beyond one frame).
+  /// FM_send (segments beyond one frame). kBadArgument for a destination
+  /// that is not another node of the cluster, an unregistered handler or a
+  /// null buffer.
   FM_HOT_PATH Status send(NodeId dest, HandlerId handler, const void* buf,
                           std::size_t len);
   /// FM_extract: processes currently deliverable frames; returns count.
@@ -161,7 +163,7 @@ class Engine {
   Status send_or_post(NodeId dest, HandlerId handler, const void* buf,
                       std::size_t len) {
     if (!in_handler_) return send(dest, handler, buf, len);
-    if (dest >= cluster_size() || !handlers_.valid(handler))
+    if (dest >= cluster_size() || dest == id_ || !handlers_.valid(handler))
       return Status::kBadArgument;
     post_send(dest, handler, buf, len);
     return Status::kOk;
@@ -567,7 +569,8 @@ Status Engine<Wire>::send(NodeId dest, HandlerId handler, const void* buf,
 template <class Wire>
 Status Engine<Wire>::start_send(Outgoing& m, NodeId dest, HandlerId handler,
                                 const void* buf, std::size_t len) {
-  if (dest >= nodes_) return Status::kBadArgument;
+  // No backend has a wire from a node to itself.
+  if (dest >= nodes_ || dest == id_) return Status::kBadArgument;
   if (!handlers_.valid(handler) || (len > 0 && buf == nullptr))
     return Status::kBadArgument;
   if (dead_[dest] != 0) return Status::kPeerDead;

@@ -8,10 +8,10 @@ Cluster::Cluster(std::size_t nodes, FmConfig cfg, std::size_t ring_slots,
   // Slot size: one full wire frame (header + fragment extension + payload +
   // maximum piggybacked ack trailer + CRC trailer).
   const std::size_t slot = max_wire_bytes(cfg.frame_payload);
-  rings_.resize(nodes * nodes);
+  rings_.reserve(nodes * (nodes - 1));
   for (std::size_t i = 0; i < nodes; ++i)
     for (std::size_t j = 0; j < nodes; ++j)
-      rings_[i * nodes + j] = std::make_unique<SpscRing>(ring_slots, slot);
+      if (i != j) rings_.push_back(std::make_unique<SpscRing>(ring_slots, slot));
   for (std::size_t i = 0; i < nodes; ++i)
     endpoints_.push_back(std::unique_ptr<Endpoint>(
         new Endpoint(*this, static_cast<NodeId>(i), nodes, cfg, faults)));

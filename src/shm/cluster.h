@@ -40,7 +40,8 @@ class Cluster {
   using EndpointType = Endpoint;
 
   /// Builds `nodes` endpoints. Ring geometry: `ring_slots` frames of
-  /// wire size (frame payload + header + ack trailer) per ordered pair.
+  /// wire size (frame payload + header + ack trailer) per ordered pair of
+  /// distinct nodes.
   /// `faults` turns on sender-side fault injection (drop/corrupt/duplicate/
   /// reorder/burst) with per-endpoint decorrelated seeds.
   explicit Cluster(std::size_t nodes, FmConfig cfg = FmConfig(),
@@ -119,13 +120,15 @@ class Cluster {
     phases_[i] = phase;
   }
 
-  /// The ring carrying frames from `src` to `dst`.
+  /// The ring carrying frames from `src` to `dst` (a node never sends to
+  /// itself, so there is no ring from a node to itself).
   FM_HOT_PATH SpscRing& ring(NodeId src, NodeId dst) {
-    FM_CHECK(src < size() && dst < size());
-    return *rings_[src * size() + dst];
+    FM_CHECK(src < size() && dst < size() && src != dst);
+    return *rings_[src * (size() - 1) + dst - (dst > src ? 1 : 0)];
   }
 
  private:
+  // src-major, skipping src == dst: N * (N - 1) rings.
   std::vector<std::unique_ptr<SpscRing>> rings_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   std::unique_ptr<std::barrier<>> barrier_;

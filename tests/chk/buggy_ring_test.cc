@@ -1,12 +1,14 @@
 // Found-then-fixed fixture for the weak-memory engine: a trimmed SPSC ring
-// whose tail publish uses memory_order_relaxed instead of release. Under
-// sequential consistency (max_delayed_stores = 0) the bug is invisible —
-// every interleaving still delivers intact frames. With one delayed store
-// allowed, FM-Check must find the schedule where the payload write is still
-// sitting in the producer's store buffer when the relaxed tail store makes
-// the slot visible, and the consumer reads a torn (stale-zero) frame. The
-// real ring's release store drains the buffer first (chk/sched.cc models
-// exactly that edge), so the fixed variant stays clean even in weak mode.
+// that publishes each frame through a stamp in its slot, as the real ring
+// does, but stores the stamp with memory_order_relaxed instead of release.
+// Under sequential consistency (max_delayed_stores = 0) the bug is
+// invisible — every interleaving still delivers intact frames. With one
+// delayed store allowed, FM-Check must find the schedule where the payload
+// write is still sitting in the producer's store buffer when the relaxed
+// stamp store makes the slot visible, and the consumer reads a torn
+// (stale-zero) frame. The real ring's release store drains the buffer first
+// (chk/sched.cc models exactly that edge), so the fixed variant stays clean
+// even in weak mode.
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -19,32 +21,43 @@
 namespace fm::chk {
 namespace {
 
-// Minimal 2-slot SPSC ring of u32 payloads; `kReleasePublish` selects the
-// correct release publish (fixed) or the buggy relaxed one.
+// Minimal 2-slot SPSC ring of u32 payloads, each slot stamped 2i+1 when
+// frame i is published (zero: never published); `kReleasePublish` selects
+// the correct release stamp store (fixed) or the buggy relaxed one.
 template <bool kReleasePublish>
 class MiniRing {
  public:
   bool try_push(std::uint32_t v) {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
+    const std::uint64_t tail = tail_;  // producer-private
     if (tail - head_.load(std::memory_order_acquire) > 1) return false;
-    shared_write(&slots_[tail & 1], &v, sizeof(v));
-    tail_.store(tail + 1, kReleasePublish ? std::memory_order_release
-                                          : std::memory_order_relaxed);
+    Slot& s = slots_[tail & 1];
+    shared_write(&s.payload, &v, sizeof(v));
+    atomic_ref<std::uint64_t>(s.stamp).store(
+        2 * tail + 1, kReleasePublish ? std::memory_order_release
+                                      : std::memory_order_relaxed);
+    tail_ = tail + 1;
     return true;
   }
 
   bool try_pop(std::uint32_t* out) {
     const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    if (tail_.load(std::memory_order_acquire) == head) return false;
-    shared_read(out, &slots_[head & 1], sizeof(*out));
+    Slot& s = slots_[head & 1];
+    if (atomic_ref<std::uint64_t>(s.stamp).load(std::memory_order_acquire) !=
+        2 * head + 1)
+      return false;
+    shared_read(out, &s.payload, sizeof(*out));
     head_.store(head + 1, std::memory_order_release);
     return true;
   }
 
  private:
+  struct Slot {
+    std::uint64_t stamp = 0;
+    std::uint32_t payload = 0;
+  };
   atomic<std::uint64_t> head_{0};
-  atomic<std::uint64_t> tail_{0};
-  std::uint32_t slots_[2] = {0, 0};
+  std::uint64_t tail_ = 0;
+  Slot slots_[2];
 };
 
 template <bool kReleasePublish>

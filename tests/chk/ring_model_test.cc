@@ -1,8 +1,9 @@
 // Exhaustive model checking of the real SpscRing (src/shm/spsc_ring.h,
-// compiled here with FM_CHK_MODEL so every index access and slot copy is a
-// scheduler decision point). Small capacities, few messages: the whole
-// interleaving space — including delayed relaxed/plain stores — is explored,
-// and FIFO delivery with uncorrupted frames must hold on every schedule.
+// compiled here with FM_CHK_MODEL so every index access, publish stamp and
+// slot copy is a scheduler decision point). Small capacities, few
+// messages: the whole interleaving space — including delayed relaxed/plain
+// stores — is explored, and FIFO delivery with uncorrupted frames must
+// hold on every schedule.
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -88,10 +89,11 @@ TEST(ChkRing, Capacity4BatchedConsume) {
 }
 
 // Third thread hammers size_approx() while producer and consumer run: the
-// snapshot is racy by contract (the two index loads are independent), so
-// the only assertable property is the clamp to [0, capacity] — which the
-// pre-clamp implementation violates on exactly the interleaving where the
-// consumer passes the stale tail snapshot between the two loads.
+// snapshot is racy by contract (the head load and the stamp count that
+// follows it are independent), so the only assertable property is the
+// clamp to [0, capacity] — which an unbounded count would violate on the
+// interleaving where the producer reuses a counted slot for its next lap
+// before the count reaches it again.
 TEST(ChkRing, SizeApproxObserverStaysClamped) {
   ModelOptions opts;
   opts.name = "ring-size-approx";
@@ -99,9 +101,8 @@ TEST(ChkRing, SizeApproxObserverStaysClamped) {
   const ModelResult res = explore(opts, [] {
     auto ring = std::make_shared<shm::SpscRing>(2, 8);
     Episode ep;
-    // One producer/consumer handoff is enough: the clamp-triggering race is
-    // the observer loading tail before a push applies, then head advancing
-    // past that stale snapshot before the second load.
+    // One producer/consumer handoff is enough to interleave the observer's
+    // head load and stamp count with a publish and a retire.
     ep.threads.push_back([ring] {
       ring->assert_producer();
       const std::uint32_t v = 1;

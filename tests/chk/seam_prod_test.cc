@@ -1,8 +1,9 @@
 // Production-mode seam checks: this binary compiles the SAME headers as
 // the model-checking tests but WITHOUT FM_CHK_MODEL, proving the seam is
-// free: chk::atomic<T> is literally std::atomic<T> (a type alias — zero
-// ABI or codegen difference), the shared-copy helpers are memcpy, and the
-// instrumented structures behave identically.
+// free: chk::atomic<T> and chk::atomic_ref<T> are literally std::atomic<T>
+// and std::atomic_ref<T> (type aliases — zero ABI or codegen difference),
+// the shared-copy helpers are memcpy, and the instrumented structures
+// behave identically.
 #include <atomic>
 #include <cstring>
 #include <type_traits>
@@ -20,6 +21,10 @@ static_assert(std::is_same_v<atomic<std::uint64_t>, std::atomic<std::uint64_t>>,
               "production chk::atomic must be std::atomic itself");
 static_assert(std::is_same_v<atomic<int>, std::atomic<int>>,
               "production chk::atomic must be std::atomic itself");
+// The ring's in-slot publish stamps go through the same seam.
+static_assert(std::is_same_v<atomic_ref<std::uint64_t>,
+                             std::atomic_ref<std::uint64_t>>,
+              "production chk::atomic_ref must be std::atomic_ref itself");
 
 TEST(ChkSeamProd, SharedCopyHelpersAreMemcpy) {
   std::uint8_t src[8] = {1, 2, 3, 4, 5, 6, 7, 8};

@@ -63,18 +63,21 @@ TEST(SimEndpoint, InvalidArgumentsRejected) {
   HandlerId h = t.a.register_handler(
       [](SimEndpoint&, NodeId, const void*, std::size_t) {});
   t.start();
-  Status s1 = Status::kOk, s2 = Status::kOk, s3 = Status::kOk;
+  Status s1 = Status::kOk, s2 = Status::kOk, s3 = Status::kOk,
+         s4 = Status::kOk;
   auto prog = [](TwoNodes& t, HandlerId h, Status* s1, Status* s2,
-                 Status* s3) -> sim::Task {
+                 Status* s3, Status* s4) -> sim::Task {
     *s1 = co_await t.a.send(1, 999, "x", 1);          // unregistered handler
     *s2 = co_await t.a.send(1, h, nullptr, 8);        // null buffer
     *s3 = co_await t.a.send4(5, h, 1, 2, 3, 4);       // no node 5 on the fabric
+    *s4 = co_await t.a.send4(t.a.id(), h, 1, 2, 3, 4);  // to itself
   };
-  t.cluster.sim().spawn(prog(t, h, &s1, &s2, &s3));
+  t.cluster.sim().spawn(prog(t, h, &s1, &s2, &s3, &s4));
   t.cluster.sim().run_for(sim::ms(1));
   EXPECT_EQ(s1, Status::kBadArgument);
   EXPECT_EQ(s2, Status::kBadArgument);
   EXPECT_EQ(s3, Status::kBadArgument);
+  EXPECT_EQ(s4, Status::kBadArgument);
   EXPECT_EQ(t.a.stats().messages_sent, 0u);
   EXPECT_EQ(t.a.stats().frames_sent, 0u);
   t.finish();

@@ -138,6 +138,26 @@ TEST(NetEndpoint, PostedRepliesAndReportPlumbing) {
             2.0 * kPings);
 }
 
+TEST(NetEndpoint, BadArgumentsRejected) {
+  Cluster cluster(2, net_cfg());
+  HandlerId h = cluster.register_handler(
+      [](Endpoint&, NodeId, const void*, std::size_t) {});
+  RunReport r = testing::NetBackend::run(cluster, [&](Endpoint& ep) {
+    if (ep.id() == 0) {
+      EXPECT_EQ(ep.send4(7, h, 0, 0, 0, 0), Status::kBadArgument);
+      EXPECT_EQ(ep.send(1, 99, "x", 1), Status::kBadArgument);
+      EXPECT_EQ(ep.send(1, h, nullptr, 4), Status::kBadArgument);
+      EXPECT_EQ(ep.send4(ep.id(), h, 0, 0, 0, 0), Status::kBadArgument);
+      EXPECT_EQ(ep.stats().messages_sent, 0u);
+      EXPECT_EQ(ep.unacked(), 0u);
+    }
+    ep.drain();
+    cluster.barrier();
+  });
+  EXPECT_TRUE(r.all_clean());
+  EXPECT_EQ(r.sum_counter("messages_sent"), 0.0);
+}
+
 TEST(NetEndpoint, StrayDatagramsAreCountedAndDropped) {
   Cluster cluster(2, net_cfg());
   int got = 0;

@@ -97,6 +97,12 @@ TEST(ShmEndpoint, BadArgumentsRejected) {
       EXPECT_EQ(ep.send4(7, h, 0, 0, 0, 0), Status::kBadArgument);
       EXPECT_EQ(ep.send(1, 99, "x", 1), Status::kBadArgument);
       EXPECT_EQ(ep.send(1, h, nullptr, 4), Status::kBadArgument);
+      // No node has a ring to itself: a self-send must be refused, not
+      // accepted and never delivered (its window slot would never be
+      // acked, so drain() would never return).
+      EXPECT_EQ(ep.send4(ep.id(), h, 0, 0, 0, 0), Status::kBadArgument);
+      EXPECT_EQ(ep.stats().messages_sent, 0u);
+      EXPECT_EQ(ep.unacked(), 0u);
     }
   });
 }

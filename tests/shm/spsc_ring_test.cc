@@ -174,6 +174,26 @@ TEST(SpscRing, FullEmptyNearIndexWraparound) {
   EXPECT_TRUE(ring.try_pop(out));
 }
 
+TEST(SpscRing, NewRingIsEmptyWhateverMemoryItGot) {
+  // Each ring is built where a destroyed ring of the same geometry may
+  // have lived, and every one dies with frames unconsumed, so its slots
+  // hold the very stamps a new ring's first lap expects. A ring whose
+  // memory were recycled rather than zeroed would hand those frames out:
+  // not necessarily at slot 0, whose first bytes an allocator's free-list
+  // bookkeeping may overwrite, but right after it.
+  const std::uint8_t frame[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  const auto nop = [](const std::uint8_t*, std::size_t) {};
+  for (int round = 0; round < 64; ++round) {
+    SpscRing ring(8, 64);
+    EXPECT_EQ(ring.try_consume_batch(8, nop), 0u) << "round " << round;
+    ASSERT_TRUE(ring.try_push(frame, sizeof frame));
+    EXPECT_EQ(ring.try_consume_batch(8, nop), 1u) << "round " << round;
+    // Leave 0..7 frames behind for the next round's memory.
+    for (int i = 0; i < round % 8; ++i)
+      ASSERT_TRUE(ring.try_push(frame, sizeof frame));
+  }
+}
+
 TEST(SpscRingDeathTest, RejectsNonPowerOfTwo) {
   EXPECT_DEATH(SpscRing(3, 16), "power of two");
 }
@@ -271,7 +291,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, SpscRingBatchStress,
 
 // Single-threaded, the three size views must agree exactly: size_approx's
 // raciness and producer_size/consumer_size's one-sided staleness only show
-// up under concurrent index movement (model-checked in tests/chk).
+// up while the other side moves (model-checked in tests/chk).
 TEST(SpscRingSize, RoleViewsAreExactSingleThreaded) {
   SpscRing ring(4, 16);
   EXPECT_EQ(ring.size_approx(), 0u);
@@ -309,8 +329,8 @@ TEST(SpscRingSize, ViewsTrackAcrossIndexWraparound) {
   EXPECT_EQ(ring.consumer_size(), 2u);
 }
 
-// The clamp contract: whatever interleaving the two independent loads land
-// on, the reported value never escapes [0, capacity]. Concurrent readers
+// The clamp contract: whatever interleaving the head load and the stamp
+// count land on, the reported value never escapes [0, capacity]. Concurrent readers
 // hammer size_approx() through a full producer/consumer run; the exhaustive
 // interleaving-level version of this check lives in tests/chk (FM-Check).
 TEST(SpscRingSize, SizeApproxStaysClampedUnderConcurrency) {
